@@ -15,8 +15,10 @@
 //! # comment / blank lines ignored
 //! ```
 //!
-//! A multiprocessor trace is one file per processor (`trace.0`, `trace.1`,
-//! ...), or the in-memory `Vec<Vec<Op>>` forms below.
+//! A multiprocessor trace is one file per processor, `<app>.<p>.trace` with
+//! `p` the processor index counted from 0 (`netcache trace` writes this
+//! layout and `netcache replay` reads it, running processor `p` on node
+//! `p`), or the in-memory `Vec<Vec<Op>>` forms below.
 
 use crate::ops::{Op, OpStream};
 use std::fmt::Write as _;
@@ -99,8 +101,7 @@ pub fn load(reader: impl Read) -> Result<Vec<Op>, String> {
     Ok(ops)
 }
 
-/// Wraps parsed ops as an [`OpStream`] for [`Machine::with_streams`]
-/// (`netcache-core`).
+/// Wraps parsed ops as an [`OpStream`] for `netcache_core::run_streams`.
 pub fn into_stream(ops: Vec<Op>) -> OpStream {
     OpStream::from_ops(ops)
 }

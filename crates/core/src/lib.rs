@@ -36,7 +36,6 @@ pub mod json;
 pub mod latency;
 pub mod machine;
 pub mod metrics;
-pub mod pdes;
 pub mod proto;
 pub mod ring;
 pub mod runner;
@@ -46,9 +45,8 @@ pub mod sweep;
 pub mod topology;
 
 pub use config::{Arch, ChannelAssoc, Replacement, RingConfig, SysConfig, TopoConfig, TopoKind};
-pub use machine::{run_streams, run_workload, EngineScratch, Machine};
+pub use machine::{run_streams, run_workload, EngineScratch};
 pub use metrics::{NodeStats, RunReport};
-pub use pdes::{fabric_lookahead, run_streams_pdes, run_workload_pdes};
 pub use proto::{Node, ProtoCounters, Protocol, ReadKind};
 pub use ring::{RingCache, RingLookup, RingStats};
 pub use runner::{compare, compare_stored, run_app, speedup, speedup_stored};

@@ -4,7 +4,7 @@
 //! architecture, the protocol state (the ring cache for NetCache, the owner
 //! directory for DMON-I), and the logic that turns a transaction into a
 //! completion time by walking the path and acquiring resources. The
-//! [`Machine`](crate::machine::Machine) owns the nodes (caches, write
+//! machine ([`crate::machine`]) owns the nodes (caches, write
 //! buffers, memory modules) and passes them in by `&mut [Node]` — protocols
 //! mutate *remote* cache state when coherence actions (updates,
 //! invalidations, forwards) hit other nodes.
@@ -22,7 +22,7 @@ pub use netcache::NetCacheProto;
 use crate::config::{Arch, SysConfig};
 use crate::ring::RingStats;
 use desim::time::Time;
-use memsys::{Addr, AddressMap, Cache, CoalescingWriteBuffer, MemoryModule, WriteEntry};
+use memsys::{Addr, Cache, CoalescingWriteBuffer, MemoryModule, WriteEntry};
 
 /// Everything node-local: the paper's node architecture (Fig. 3) minus the
 /// processor itself.
@@ -191,52 +191,6 @@ pub trait Protocol {
     }
 }
 
-/// Forwarding impl so `Box<dyn Protocol>` is itself a `Protocol`: the
-/// machine is generic over its protocol type (`Machine<P: Protocol>`),
-/// and the boxed form is the default instantiation for callers that pick
-/// the protocol at run time (or plug in their own). The per-arch entry
-/// points in [`crate::machine::run_streams`] instantiate the machine at
-/// each concrete protocol type instead, so the event loop devirtualizes.
-impl Protocol for Box<dyn Protocol> {
-    fn arch(&self) -> Arch {
-        (**self).arch()
-    }
-    fn elision_policy(&self) -> ElisionPolicy {
-        (**self).elision_policy()
-    }
-    fn read_remote(&mut self, nodes: &mut [Node], node: usize, addr: Addr, t: Time) -> ReadResult {
-        (**self).read_remote(nodes, node, addr, t)
-    }
-    fn retire_shared_write(
-        &mut self,
-        nodes: &mut [Node],
-        node: usize,
-        entry: &WriteEntry,
-        t: Time,
-        sharers: u64,
-    ) -> Time {
-        (**self).retire_shared_write(nodes, node, entry, t, sharers)
-    }
-    fn sync_broadcast(&mut self, node: usize, t: Time) -> Time {
-        (**self).sync_broadcast(node, t)
-    }
-    fn evicted_l2(&mut self, nodes: &mut [Node], node: usize, block: u64, dirty: bool, t: Time) {
-        (**self).evicted_l2(nodes, node, block, dirty, t)
-    }
-    fn ring_stats(&self) -> Option<RingStats> {
-        (**self).ring_stats()
-    }
-    fn counters(&self) -> &ProtoCounters {
-        (**self).counters()
-    }
-    fn channel_report(&self) -> Vec<(String, u64, u64, f64)> {
-        (**self).channel_report()
-    }
-    fn link_report(&self) -> Vec<(String, u64, u64)> {
-        (**self).link_report()
-    }
-}
-
 /// Applies an update's side effects at every node other than the writer
 /// (update protocols, §4.1): refresh the L2 copy in place, invalidate the
 /// L1 copy.
@@ -264,15 +218,5 @@ pub(crate) fn apply_update_to_peers(
         if n.l1.invalidate(addr).is_some() {
             counters.remote_l1_invalidates += 1;
         }
-    }
-}
-
-/// Builds the protocol object for a configuration.
-pub fn build(cfg: &SysConfig, map: AddressMap) -> Box<dyn Protocol> {
-    match cfg.arch {
-        Arch::NetCache => Box::new(NetCacheProto::new(cfg, map)),
-        Arch::LambdaNet => Box::new(LambdaNet::new(cfg, map)),
-        Arch::DmonU => Box::new(DmonU::new(cfg, map)),
-        Arch::DmonI => Box::new(DmonI::new(cfg, map)),
     }
 }

@@ -26,11 +26,6 @@
 //!   golden-digest regeneration). Bumping it orphans every record at
 //!   once, exactly like a cold cache.
 //!
-//! The PDES partition count is deliberately **excluded**: `--pdes N` is
-//! a pure engine-speed choice whose reports are bit-identical to the
-//! serial engine (pinned by `tests/pdes_diff.rs`), so serial and
-//! partitioned runs share cache lines.
-//!
 //! ## Records: self-describing and self-verifying
 //!
 //! Each report is one JSON document (via the in-tree strict RFC 8259
@@ -264,19 +259,6 @@ impl Store {
             report,
         );
     }
-
-    /// Seeds the store from an already-computed sweep (`bench-engine`
-    /// always re-simulates — it measures host wall time — but its
-    /// results are as trustworthy as anyone's, so a following `sweep`
-    /// over the same grid starts warm). Returns the number of cells
-    /// written.
-    pub fn seed(&self, points: &[SweepPoint], reports: &[&RunReport]) -> usize {
-        let before = self.stats().write_errors;
-        for (p, r) in points.iter().zip(reports) {
-            self.save_point(p, r);
-        }
-        points.len().min(reports.len()) - (self.stats().write_errors - before) as usize
-    }
 }
 
 /// The content key of a `(machine config, workload)` pair: FNV-1a over
@@ -326,9 +308,7 @@ fn point_workload(point: &SweepPoint) -> Workload {
     Workload::new(point.app, point.cfg.nodes).scale(point.scale)
 }
 
-/// [`cell_key`] for a sweep cell. The `pdes` field is excluded by
-/// construction: partitioning is an engine-speed choice with
-/// bit-identical reports.
+/// [`cell_key`] for a sweep cell.
 pub fn point_key(point: &SweepPoint) -> u64 {
     cell_key(&point.cfg, &point_workload(point))
 }
@@ -853,14 +833,6 @@ mod tests {
     }
 
     #[test]
-    fn pdes_partitioning_shares_cache_lines() {
-        // --pdes N reports are bit-identical to serial (tests/pdes_diff
-        // pins it), so the key must not depend on the partition count.
-        let p = small_point();
-        assert_eq!(point_key(&p), point_key(&p.clone().with_pdes(4)));
-    }
-
-    #[test]
     fn open_errors_name_the_directory() {
         // A file where the directory should be → named create error.
         let dir = scratch("notadir");
@@ -886,24 +858,6 @@ mod tests {
         let _store = Store::open(&dir).unwrap();
         assert!(!stale.exists(), "stale tmp file survived open");
         assert!(record.exists(), "real record must not be touched");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn seed_writes_every_cell() {
-        let dir = scratch("seed");
-        let store = Store::open(&dir).unwrap();
-        let cfg = SysConfig::base(Arch::NetCache).with_nodes(2);
-        let points = vec![
-            SweepPoint::new(cfg, AppId::Fft, 0.01),
-            SweepPoint::new(cfg, AppId::Sor, 0.01),
-        ];
-        let reports: Vec<RunReport> = points.iter().map(|p| p.run()).collect();
-        let refs: Vec<&RunReport> = reports.iter().collect();
-        assert_eq!(store.seed(&points, &refs), 2);
-        for (p, r) in points.iter().zip(&reports) {
-            assert_eq!(store.load_point(p).as_ref(), Ok(r));
-        }
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -38,14 +38,6 @@
 //! for cross-cluster traffic and broadcasts, the ring for ring traffic),
 //! so `Σ frames == injected` holds exactly — a property-tested invariant,
 //! not an approximation.
-//!
-//! # PDES lookahead
-//!
-//! [`fabric_lookahead`](crate::pdes::fabric_lookahead) is derived from
-//! [`Topology::min_hop_latency`]: the cheapest cross-node hop (`flight`
-//! for every fabric here — two same-cluster nodes may sit in different
-//! PDES partitions) lower-bounds cross-partition event latency, so
-//! `min_hop_latency() + 1` is a sound conservative fence for all fabrics.
 
 use crate::config::{RingConfig, SysConfig, TopoKind};
 use desim::time::Time;
@@ -115,12 +107,6 @@ pub trait Topology {
         } else {
             self.local_hop()
         }
-    }
-
-    /// Minimum latency of any cross-node hop — the PDES lookahead floor
-    /// (two nodes of the same cluster may live in different partitions).
-    fn min_hop_latency(&self) -> Time {
-        self.local_hop()
     }
 
     /// Number of accounted links: `nodes` legs + `rings` ring links +
@@ -465,7 +451,6 @@ mod tests {
             assert_eq!(t.hop_latency(s, d), 1);
         }
         assert_eq!(t.broadcast_latency(2), 1);
-        assert_eq!(t.min_hop_latency(), 1);
         assert!(t.probes_ring(0, 7));
         assert_eq!(t.ring_tap(5), 5);
     }
@@ -501,7 +486,6 @@ mod tests {
         assert_eq!(t.hop_latency(0, 16), 3, "cross-cluster");
         assert_eq!(t.hop_latency(16, 0), 3, "symmetric");
         assert_eq!(t.broadcast_latency(0), 3);
-        assert_eq!(t.min_hop_latency(), 1, "cheapest hop is intra-cluster");
         assert!(t.probes_ring(0, 15));
         assert!(!t.probes_ring(0, 16));
         assert_eq!(t.ring_of(123, 20), 1, "home cluster owns the block");

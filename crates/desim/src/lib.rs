@@ -24,15 +24,13 @@
 //! queue delivers events in nondecreasing time order, acquisitions happen in
 //! (approximately) arrival order and queueing delays emerge naturally.
 
-pub mod pqueue;
 pub mod queue;
 pub mod rng;
 pub mod server;
 pub mod stats;
 pub mod time;
 
-pub use pqueue::{Owned, PartitionedQueue, PdesStats};
-pub use queue::{EventQueue, Sched};
+pub use queue::EventQueue;
 pub use rng::{SplitMix64, Xoshiro256StarStar};
 pub use server::{FifoServer, SlottedServer};
 pub use stats::{Accumulator, Counter, Histogram};

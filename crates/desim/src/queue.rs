@@ -43,63 +43,12 @@ const WHEEL: usize = 8192;
 const MASK: u64 = WHEEL as u64 - 1;
 const WORDS: usize = WHEEL / 64;
 
-/// The queue interface the simulation engine runs against: the serial
-/// [`EventQueue`] and the partitioned [`PartitionedQueue`](crate::pqueue::PartitionedQueue)
-/// both implement it, so an engine generic over `Sched` can swap its
-/// future-event list without touching any event-handler code. Both
-/// implementations deliver the exact same global `(time, seq)` order —
-/// the contract every differential test in the workspace pins.
-///
-/// `has_event_by` takes `&mut self` (unlike [`EventQueue::has_event_by`])
-/// so implementations may refresh lazy merge state while answering.
-pub trait Sched<E> {
-    /// Current simulation time (timestamp of the last popped event).
-    fn now(&self) -> Time;
-    /// Schedules `event` at absolute time `at` (`at >= now`).
-    fn schedule(&mut self, at: Time, event: E);
-    /// Pops the globally next `(time, seq)` event, advancing the clock.
-    fn pop(&mut self) -> Option<(Time, E)>;
-    /// True iff any pending event has timestamp `<= t`.
-    fn has_event_by(&mut self, t: Time) -> bool;
-    /// Total number of events ever scheduled.
-    fn scheduled_total(&self) -> u64;
-    /// Rewinds to a fresh queue, keeping allocations.
-    fn reset(&mut self);
-}
-
-impl<E> Sched<E> for EventQueue<E> {
-    #[inline]
-    fn now(&self) -> Time {
-        EventQueue::now(self)
-    }
-    #[inline]
-    fn schedule(&mut self, at: Time, event: E) {
-        EventQueue::schedule(self, at, event)
-    }
-    #[inline]
-    fn pop(&mut self) -> Option<(Time, E)> {
-        EventQueue::pop(self)
-    }
-    #[inline]
-    fn has_event_by(&mut self, t: Time) -> bool {
-        EventQueue::has_event_by(self, t)
-    }
-    #[inline]
-    fn scheduled_total(&self) -> u64 {
-        EventQueue::scheduled_total(self)
-    }
-    #[inline]
-    fn reset(&mut self) {
-        EventQueue::reset(self)
-    }
-}
-
 /// A timestamped overflow entry. Ordered so the `BinaryHeap` (a max-heap)
 /// pops the *smallest* `(time, seq)` first.
-pub(crate) struct Entry<E> {
-    pub(crate) time: Time,
-    pub(crate) seq: u64,
-    pub(crate) event: E,
+struct Entry<E> {
+    time: Time,
+    seq: u64,
+    event: E,
 }
 
 impl<E> PartialEq for Entry<E> {

@@ -14,7 +14,7 @@
 
 use netcache::apps::{Op, OpStream};
 use netcache::mem::addr::SHARED_BASE;
-use netcache::{Arch, Machine, SysConfig};
+use netcache::{run_streams, Arch, EngineScratch, SysConfig};
 
 const BUFFERS: u64 = 512; // shared buffer blocks (32 KB — twice the L2)
 const ROUNDS: u64 = 40;
@@ -56,7 +56,7 @@ fn main() {
         let cfg = SysConfig::base(arch);
         let mut streams: Vec<OpStream> = vec![producer()];
         streams.extend((1..cfg.nodes as u64).map(consumer));
-        let report = Machine::with_streams(&cfg, streams).run();
+        let report = run_streams(&cfg, streams, &mut EngineScratch::new());
         println!("{}", report.summary());
         if let Some(ring) = report.ring {
             println!(

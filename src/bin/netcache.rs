@@ -11,8 +11,6 @@
 //! netcache trace <app> <dir> [--scale S] [--procs P]   # dump op streams
 //! netcache replay <dir> [--arch A] [--procs P]         # run dumped traces
 //! netcache profile <app> [--scale S] [--procs P]       # stream statistics
-//! netcache bench-engine [--update-baseline|--json F] [--procs P] [--scale S] [--store DIR]  # engine events/sec (dry run by default)
-//! netcache bench-compare --baseline F [--tolerance T]  # perf-regression gate
 //! ```
 //!
 //! Architectures: `netcache` (default), `lambdanet`, `dmon-u`, `dmon-i`.
@@ -32,18 +30,23 @@
 //! result store: cells already present (same config, workload, and
 //! engine version) are served from disk instead of re-simulated, and
 //! freshly computed cells are written back — so an interrupted sweep
-//! resumes where it left off. `bench-engine` always re-simulates (it
-//! measures engine time) but *seeds* the store with its reports.
+//! resumes where it left off.
+//!
+//! `replay` reads the layout `trace` writes: one `<app>.<p>.trace` file
+//! per processor, `p` counted from 0, and runs processor `p` on node `p`.
+//! Lock and barrier ids are renumbered densely before the run (they are
+//! only names). A missing directory, a misnamed file or a malformed line
+//! exits 2 naming the directory or file, and the line where there is one.
 
+use std::collections::HashMap;
 use std::io::Write as _;
+use std::path::PathBuf;
 use std::process::exit;
 
-use netcache::apps::{trace, AppId, OpStream, Workload};
+use netcache::apps::{trace, AppId, Op, Workload};
 use netcache::mem::AddressMap;
-use netcache::sweep::{NoopObserver, StderrProgress, SweepObserver, SweepResult, SweepSpec};
-use netcache::{
-    run_app, run_workload_pdes, Arch, EngineScratch, Machine, Store, SysConfig, TopoKind,
-};
+use netcache::sweep::{NoopObserver, StderrProgress, SweepObserver, SweepSpec};
+use netcache::{run_app, run_streams, Arch, EngineScratch, Store, SysConfig, TopoKind};
 
 struct Args {
     positional: Vec<String>,
@@ -58,34 +61,25 @@ struct Args {
     /// Cache-ring count C for `--topology multi-ring`.
     rings: Option<usize>,
     jobs: Option<usize>,
-    /// Partition count for the conservative-PDES engine (0 = serial).
-    pdes: usize,
     json: Option<String>,
     csv: Option<String>,
     serial: bool,
     quiet: bool,
-    baseline: Option<String>,
-    tolerance: f64,
-    update_baseline: bool,
     /// Directory of the on-disk result store (sweep/compare read through
-    /// it, bench-engine seeds it).
+    /// it).
     store: Option<String>,
     no_store: bool,
 }
 
 fn usage() -> ! {
     eprintln!(
-        "usage: netcache <run|compare|sweep|trace|replay|profile|bench-engine|bench-compare> ... \
+        "usage: netcache <run|compare|sweep|trace|replay|profile> ... \
          [--arch netcache|lambdanet|dmon-u|dmon-i] [--scale S] [--procs P] [--ring-kb K] \
-         [--topology single|multi-ring|star-of-rings] [--rings C] [--pdes N]\n\
+         [--topology single|multi-ring|star-of-rings] [--rings C]\n\
          sweep flags: [--archs A,B|all] [--jobs N] [--ring-kbs K,K,...] \
          [--json FILE] [--csv FILE] [--serial] [--quiet] [--store DIR|--no-store]\n\
-         bench-compare flags: --baseline FILE [--tolerance T]\n\
-         bench-engine flags: [--update-baseline] [--json FILE] [--store DIR] (neither: dry run)\n\
-         --pdes N partitions the machine across N event wheels (run, sweep, \
-         bench-engine); results are bit-identical to the serial engine\n\
-         --store DIR caches results on disk (sweep/compare serve cached cells, \
-         bench-engine seeds); --no-store forces recomputation"
+         --store DIR caches results on disk (sweep/compare serve cached cells); \
+         --no-store forces recomputation"
     );
     exit(2)
 }
@@ -100,9 +94,9 @@ fn parse_num<T: std::str::FromStr>(name: &str, v: &str) -> T {
     })
 }
 
-/// [`parse_num`] for counts that must be at least 1 (`--jobs 0` or
-/// `--pdes 0` would mean "no workers"/"no partitions" — a configuration
-/// with no meaning, named as such instead of misbehaving downstream).
+/// [`parse_num`] for counts that must be at least 1 (`--jobs 0` would
+/// mean "no workers" — a configuration with no meaning, named as such
+/// instead of misbehaving downstream).
 fn parse_count(name: &str, v: &str) -> usize {
     let n: usize = parse_num(name, v);
     if n == 0 {
@@ -137,14 +131,10 @@ fn parse_args() -> Args {
         topology: None,
         rings: None,
         jobs: None,
-        pdes: 0,
         json: None,
         csv: None,
         serial: false,
         quiet: false,
-        baseline: None,
-        tolerance: 0.15,
-        update_baseline: false,
         store: None,
         no_store: false,
     };
@@ -182,18 +172,12 @@ fn parse_args() -> Args {
             "--topology" => args.topology = Some(parse_topology(&grab("--topology"))),
             "--rings" => args.rings = Some(parse_count("--rings", &grab("--rings"))),
             "--jobs" => args.jobs = Some(parse_count("--jobs", &grab("--jobs"))),
-            "--pdes" => args.pdes = parse_count("--pdes", &grab("--pdes")),
             "--json" => args.json = Some(grab("--json")),
             "--csv" => args.csv = Some(grab("--csv")),
             "--serial" => args.serial = true,
             "--quiet" => args.quiet = true,
-            "--baseline" => args.baseline = Some(grab("--baseline")),
-            "--update-baseline" => args.update_baseline = true,
             "--store" => args.store = Some(grab("--store")),
             "--no-store" => args.no_store = true,
-            "--tolerance" => {
-                args.tolerance = parse_num("--tolerance", &grab("--tolerance"));
-            }
             _ if a.starts_with("--") => {
                 eprintln!("unknown flag {a}");
                 usage()
@@ -282,165 +266,75 @@ fn apply_topology(mut cfg: SysConfig, args: &Args) -> SysConfig {
     cfg
 }
 
-/// The serial engine-throughput grid (one arch × all twelve apps) shared
-/// by `bench-engine` and `bench-compare`. Serial so cell timings don't
-/// contend for cores; events/sec uses each report's own event-loop wall
-/// time (`wall_ns`), which excludes machine construction but includes
-/// lazy op generation — the engine's real steady-state cost.
-fn engine_sweep(args: &Args) -> netcache::Sweep {
-    SweepSpec::new()
-        .archs([args.arch])
-        .all_apps()
-        .nodes([args.procs])
-        .scale(args.scale)
-        .pdes(args.pdes)
-        .build()
-}
-
-fn engine_grid(args: &Args) -> SweepResult {
-    engine_sweep(args).run_serial()
-}
-
-/// Engine label for bench metadata: which event-loop variant timed the
-/// grid (cells run one at a time either way; `pdesN` partitions the
-/// event wheel *within* each cell).
-fn engine_name(args: &Args) -> String {
-    if args.pdes >= 1 {
-        format!("pdes{}", args.pdes)
-    } else {
-        "serial".into()
-    }
-}
-
-/// Grid-wide engine-throughput aggregates.
-struct EngineAgg {
-    events: u64,
-    ops: u64,
-    elided: u64,
-    sim_ns: u64,
-}
-
-impl EngineAgg {
-    fn of(result: &SweepResult) -> Self {
-        let mut agg = EngineAgg {
-            events: 0,
-            ops: 0,
-            elided: 0,
-            sim_ns: 0,
-        };
-        for r in &result.runs {
-            agg.events += r.report.events;
-            agg.ops += r.report.ops;
-            agg.elided += r.report.elided_ops;
-            agg.sim_ns += r.report.wall_ns;
+/// Reads a `trace` directory: one `<app>.<p>.trace` file per processor,
+/// `p` counted from 0 without gaps, in processor order (a string sort
+/// would put `water.10` before `water.2` and run it on the wrong node).
+/// Every failure exits 2 naming the directory or file, and the line.
+fn load_traces(dir: &str) -> Vec<Vec<Op>> {
+    let fail = |what: String| -> ! {
+        eprintln!("{what}");
+        exit(2)
+    };
+    let entries: std::io::Result<Vec<_>> = std::fs::read_dir(dir).and_then(|d| d.collect());
+    let entries =
+        entries.unwrap_or_else(|e| fail(format!("cannot read trace directory {dir}: {e}")));
+    let mut files: Vec<(usize, PathBuf)> = Vec::new();
+    for path in entries.into_iter().map(|e| e.path()) {
+        if path.extension().is_none_or(|e| e != "trace") {
+            continue;
         }
-        agg
-    }
-
-    fn engine_s(&self) -> f64 {
-        self.sim_ns as f64 / 1e9
-    }
-
-    /// Throughput with a guarded denominator: a degenerate grid whose
-    /// cells all finish in under a nanosecond tick reports 0, never
-    /// `inf`/`NaN` — `checked_baseline_eps` hard-fails on those, so the
-    /// producer must not be able to write them into a baseline.
-    fn events_per_sec(&self) -> f64 {
-        if self.sim_ns == 0 {
-            return 0.0;
+        let index = path
+            .file_stem()
+            .and_then(|s| s.to_str())
+            .and_then(|s| s.rsplit_once('.'))
+            .and_then(|(_, p)| p.parse().ok());
+        match index {
+            Some(p) => files.push((p, path)),
+            None => fail(format!(
+                "{}: a trace file is named <app>.<p>.trace, p its processor index",
+                path.display()
+            )),
         }
-        self.events as f64 / self.engine_s()
     }
-
-    fn ops_per_sec(&self) -> f64 {
-        if self.sim_ns == 0 {
-            return 0.0;
-        }
-        self.ops as f64 / self.engine_s()
+    if files.is_empty() {
+        fail(format!("no .trace files in {dir}"));
     }
-}
-
-/// Extracts the *last* `"key": <number>` in `s`. The bench JSON emits its
-/// top-level summary after the `cells`/`history` arrays, so the last
-/// occurrence of a summary key is the top-level value — which also makes
-/// this read pre-`history` baseline files correctly.
-fn json_num(s: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let i = s.rfind(&pat)? + pat.len();
-    let rest = s[i..].trim_start();
-    let end = rest
-        .char_indices()
-        .find(|&(_, c)| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .map(|(j, _)| j)
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Validates the baseline `events_per_sec` before it becomes the gate's
-/// denominator. A zero (or negative, or non-finite) recorded value would
-/// make `cur < base * (1 - tolerance)` unsatisfiable, silently passing
-/// every regression — so anything that can't anchor the gate is a hard
-/// error, same as a missing key.
-fn checked_baseline_eps(raw: Option<f64>) -> Result<f64, String> {
-    match raw {
-        None => Err("no events_per_sec in baseline".into()),
-        Some(v) if !v.is_finite() => Err(format!("baseline events_per_sec is not finite ({v})")),
-        Some(v) if v <= 0.0 => Err(format!(
-            "baseline events_per_sec is {v}; a zero or negative baseline cannot gate \
-             anything — re-record with bench-engine --update-baseline"
-        )),
-        Some(v) => Ok(v),
-    }
-}
-
-/// Looks up one cell's `events` count in a bench JSON by its label. Cell
-/// labels are unique and only appear in the `cells` array, so the first
-/// match is the right one.
-fn baseline_cell_events(s: &str, label: &str) -> Option<u64> {
-    let pat = format!("\"label\": \"{label}\"");
-    let cell = &s[s.find(&pat)? + pat.len()..];
-    let key = "\"events\":";
-    let rest = cell[cell.find(key)? + key.len()..].trim_start();
-    let end = rest
-        .char_indices()
-        .find(|&(_, c)| !c.is_ascii_digit())
-        .map(|(j, _)| j)
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Collects the history entries a refreshed bench file should carry: the
-/// previous file's own `history` entries plus its top-level summary as the
-/// newest entry. Entries are one-line JSON objects, re-emitted verbatim.
-fn history_entries(prev: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    if let Some(start) = prev.find("\"history\": [") {
-        let inner = &prev[start + "\"history\": [".len()..];
-        if let Some(end) = inner.find(']') {
-            for line in inner[..end].lines() {
-                let t = line.trim().trim_end_matches(',');
-                if t.starts_with('{') {
-                    out.push(t.to_string());
-                }
+    files.sort();
+    files
+        .iter()
+        .enumerate()
+        .map(|(i, (p, path))| {
+            if *p != i {
+                fail(format!(
+                    "{}: expected the trace of processor {i} (one file per processor, from 0)",
+                    path.display()
+                ));
             }
+            let f = std::fs::File::open(path)
+                .unwrap_or_else(|e| fail(format!("{}: {e}", path.display())));
+            trace::load(f).unwrap_or_else(|e| fail(format!("{}: {e}", path.display())))
+        })
+        .collect()
+}
+
+/// Renames lock ids and barrier ids to dense ids, each kind separately
+/// in order of first appearance across the traces. Ids are only names,
+/// so the run does not change, but the engine keeps per-id state in
+/// tables indexed by id: a trace naming barrier 4000000000 must not
+/// allocate an entry for every id below it.
+fn renumber_sync_ids(traces: &mut [Vec<Op>]) {
+    fn dense(ids: &mut HashMap<u32, u32>, id: &mut u32) {
+        let next = ids.len() as u32;
+        *id = *ids.entry(*id).or_insert(next);
+    }
+    let (mut locks, mut barriers) = (HashMap::new(), HashMap::new());
+    for op in traces.iter_mut().flatten() {
+        match op {
+            Op::Acquire(id) | Op::Release(id) => dense(&mut locks, id),
+            Op::Barrier(id) => dense(&mut barriers, id),
+            Op::Compute(_) | Op::Read(_) | Op::Write(_) => {}
         }
     }
-    if let (Some(ev), Some(es), Some(eps)) = (
-        json_num(prev, "total_events"),
-        json_num(prev, "engine_s"),
-        json_num(prev, "events_per_sec"),
-    ) {
-        let mut e = format!(
-            "{{\"total_events\": {}, \"engine_s\": {es:.3}, \"events_per_sec\": {eps:.0}",
-            ev as u64
-        );
-        if let Some(o) = json_num(prev, "ops_per_sec") {
-            e.push_str(&format!(", \"ops_per_sec\": {o:.0}"));
-        }
-        e.push('}');
-        out.push(e);
-    }
-    out
 }
 
 fn main() {
@@ -458,11 +352,7 @@ fn main() {
             );
             let cfg = config(&args);
             let wl = Workload::new(app, args.procs).scale(args.scale);
-            let r = if args.pdes >= 1 {
-                run_workload_pdes(&cfg, &wl, args.pdes, &mut EngineScratch::new())
-            } else {
-                run_app(&cfg, &wl)
-            };
+            let r = run_app(&cfg, &wl);
             println!("{}", r.summary());
             println!(
                 "read stall {:.1}%  wb stall {:.1}%  sync {:.1}%  avg shared-read {:.0} pcycles",
@@ -513,8 +403,7 @@ fn main() {
                 .archs(args.archs.clone().unwrap_or_else(|| Arch::ALL.to_vec()))
                 .apps(apps)
                 .nodes([args.procs])
-                .scale(args.scale)
-                .pdes(args.pdes);
+                .scale(args.scale);
             if let Some(kbs) = &args.ring_kbs {
                 spec = spec.ring_kb(kbs.iter().copied());
             }
@@ -604,209 +493,17 @@ fn main() {
         }
         "replay" => {
             let dir = args.positional.get(1).cloned().unwrap_or_else(|| usage());
-            let mut paths: Vec<_> = std::fs::read_dir(&dir)
-                .expect("read trace dir")
-                .filter_map(|e| e.ok())
-                .map(|e| e.path())
-                .filter(|p| p.extension().map(|e| e == "trace").unwrap_or(false))
-                .collect();
-            paths.sort();
-            if paths.is_empty() {
-                eprintln!("no .trace files in {dir}");
-                exit(1);
-            }
-            let streams: Vec<OpStream> = paths
-                .iter()
-                .map(|p| {
-                    let f = std::fs::File::open(p).expect("open trace");
-                    trace::into_stream(trace::load(f).unwrap_or_else(|e| {
-                        eprintln!("{}: {e}", p.display());
-                        exit(1)
-                    }))
-                })
-                .collect();
-            let procs = streams.len();
+            let mut traces = load_traces(&dir);
+            renumber_sync_ids(&mut traces);
+            let procs = traces.len();
             let cfg = SysConfig::base(args.arch).with_nodes(procs.max(args.procs));
-            let r = Machine::with_streams(&cfg, streams).run();
-            println!("replayed {procs} traces: {}", r.summary());
-        }
-        "bench-engine" => {
-            // Engine throughput harness: the Fig. 6-style NetCache row
-            // (all twelve apps, one arch, fixed node count); see
-            // `engine_grid` for the measurement discipline. A --store is
-            // never *read* here — cached results have no engine time to
-            // measure — but the freshly timed reports seed it below.
-            let result = engine_grid(&args);
-            if let Some(st) = open_store(&args) {
-                let reports: Vec<&netcache::RunReport> =
-                    result.runs.iter().map(|r| &r.report).collect();
-                let n = st.seed(engine_sweep(&args).points(), &reports);
-                println!("seeded store {} ({n} cells)", st.dir().display());
-            }
-            println!(
-                "{:<32} {:>12} {:>10} {:>14} {:>14} {:>8}",
-                "cell", "events", "wall ms", "events/sec", "ops/sec", "elided%"
-            );
-            for r in &result.runs {
-                println!(
-                    "{:<32} {:>12} {:>10.1} {:>14.0} {:>14.0} {:>7.1}%",
-                    r.label,
-                    r.report.events,
-                    r.report.wall_ns as f64 / 1e6,
-                    r.report.events_per_sec(),
-                    r.report.ops_per_sec(),
-                    100.0 * r.report.elided_ops as f64 / r.report.ops.max(1) as f64,
-                );
-            }
-            let agg = EngineAgg::of(&result);
-            println!(
-                "\ntotal: {} events / {} ops ({:.1}% elided) in {:.2} s engine time \
-                 ({:.2} s sweep wall): {:.0} events/sec, {:.0} ops/sec",
-                agg.events,
-                agg.ops,
-                100.0 * agg.elided as f64 / agg.ops.max(1) as f64,
-                agg.engine_s(),
-                result.wall.as_secs_f64(),
-                agg.events_per_sec(),
-                agg.ops_per_sec(),
-            );
-            // A measurement run is the default and writes nothing: the
-            // committed baseline only moves on an explicit
-            // `--update-baseline` (or to a scratch file via `--json F`).
-            let Some(path) = args
-                .json
-                .clone()
-                .or_else(|| args.update_baseline.then(|| "BENCH_engine.json".into()))
-            else {
-                println!("dry run (pass --update-baseline or --json FILE to record)");
-                return;
-            };
-            // The outgoing file's summary is preserved as the newest entry
-            // of the refreshed file's `history`, so the committed bench
-            // carries its own trajectory across engine revisions.
-            let history = std::fs::read_to_string(&path)
-                .map(|prev| history_entries(&prev))
-                .unwrap_or_default();
-            let mut json = format!(
-                "{{\n  \"bench\": \"engine\",\n  \"grid\": \"{} x {} apps, {} nodes, scale {}, {}\",\n  \"cells\": [\n",
-                args.arch.name(),
-                result.runs.len(),
-                args.procs,
-                args.scale,
-                engine_name(&args)
-            );
-            for (i, r) in result.runs.iter().enumerate() {
-                let comma = if i + 1 < result.runs.len() { "," } else { "" };
-                json.push_str(&format!(
-                    "    {{\"label\": \"{}\", \"events\": {}, \"ops\": {}, \
-                     \"elided_ops\": {}, \"engine_ms\": {:.3}, \
-                     \"wall_ms\": {:.3}, \"events_per_sec\": {:.0}, \
-                     \"ops_per_sec\": {:.0}}}{comma}\n",
-                    r.label,
-                    r.report.events,
-                    r.report.ops,
-                    r.report.elided_ops,
-                    r.report.wall_ns as f64 / 1e6,
-                    r.wall.as_secs_f64() * 1e3,
-                    r.report.events_per_sec(),
-                    r.report.ops_per_sec(),
-                ));
-            }
-            // `history` precedes the summary keys: consumers (and
-            // `json_num`) take the LAST occurrence of a summary key as the
-            // file's own numbers.
-            json.push_str("  ],\n  \"history\": [\n");
-            for (i, h) in history.iter().enumerate() {
-                let comma = if i + 1 < history.len() { "," } else { "" };
-                json.push_str(&format!("    {h}{comma}\n"));
-            }
-            json.push_str(&format!(
-                "  ],\n  \"total_events\": {},\n  \"total_ops\": {},\n  \
-                 \"elided_ops\": {},\n  \"engine_s\": {:.3},\n  \
-                 \"sweep_wall_s\": {:.3},\n  \"events_per_sec\": {:.0},\n  \
-                 \"ops_per_sec\": {:.0}\n}}\n",
-                agg.events,
-                agg.ops,
-                agg.elided,
-                agg.engine_s(),
-                result.wall.as_secs_f64(),
-                agg.events_per_sec(),
-                agg.ops_per_sec(),
-            ));
-            std::fs::write(&path, json).expect("write bench json");
-            println!("wrote {path}");
-        }
-        "bench-compare" => {
-            // Perf-regression gate: re-measure the engine grid and fail
-            // (exit 1) if throughput fell more than --tolerance below the
-            // baseline file's recorded events/sec.
-            let Some(baseline_path) = args.baseline.clone() else {
-                eprintln!("bench-compare requires --baseline FILE");
-                usage()
-            };
-            let baseline = std::fs::read_to_string(&baseline_path).unwrap_or_else(|e| {
-                eprintln!("cannot read baseline {baseline_path}: {e}");
+            if let Err(e) = cfg.validate() {
+                eprintln!("cannot replay {procs} traces from {dir}: {e}");
                 exit(2)
-            });
-            let base_eps = checked_baseline_eps(json_num(&baseline, "events_per_sec"))
-                .unwrap_or_else(|e| {
-                    eprintln!("bench-compare: {e} ({baseline_path})");
-                    exit(2)
-                });
-            let result = engine_grid(&args);
-            let agg = EngineAgg::of(&result);
-            let cur_eps = agg.events_per_sec();
-            println!(
-                "baseline: {:>12.0} events/sec ({})",
-                base_eps, baseline_path
-            );
-            if let Some(s) = json_num(&baseline, "engine_s") {
-                println!("          engine_s {s:.3}");
             }
-            println!(
-                "current:  {:>12.0} events/sec (engine_s {:.3}, {:.0} ops/sec)",
-                cur_eps,
-                agg.engine_s(),
-                agg.ops_per_sec(),
-            );
-            let ratio = cur_eps / base_eps;
-            println!(
-                "ratio: {ratio:.3}x (tolerance: {:.0}% regression)",
-                100.0 * args.tolerance
-            );
-            if let Some(base_events) = json_num(&baseline, "total_events") {
-                if base_events as u64 != agg.events {
-                    println!(
-                        "note: event count changed ({} -> {}): model revision, \
-                         events/sec comparison is approximate",
-                        base_events as u64, agg.events
-                    );
-                }
-            }
-            // Per-app event counts against the baseline cells: a cell whose
-            // count moved is flagged so a model revision (as opposed to a
-            // pure engine-speed change) is visible at a glance.
-            println!(
-                "\n{:<32} {:>14} {:>14}",
-                "cell", "base events", "cur events"
-            );
-            for r in &result.runs {
-                match baseline_cell_events(&baseline, &r.label) {
-                    Some(be) if be != r.report.events => {
-                        println!("{:<32} {:>14} {:>14}  *", r.label, be, r.report.events)
-                    }
-                    Some(be) => println!("{:<32} {:>14} {:>14}", r.label, be, r.report.events),
-                    None => println!("{:<32} {:>14} {:>14}", r.label, "-", r.report.events),
-                }
-            }
-            if cur_eps < base_eps * (1.0 - args.tolerance) {
-                eprintln!(
-                    "REGRESSION: engine throughput fell {:.1}% below baseline",
-                    100.0 * (1.0 - ratio)
-                );
-                exit(1);
-            }
-            println!("OK: within tolerance");
+            let streams = traces.into_iter().map(trace::into_stream).collect();
+            let r = run_streams(&cfg, streams, &mut EngineScratch::new());
+            println!("replayed {procs} traces: {}", r.summary());
         }
         "profile" => {
             let app = app_by_name(
@@ -835,66 +532,5 @@ fn main() {
             }
         }
         _ => usage(),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Regression test for the silent-pass gate: a baseline recording
-    /// `events_per_sec: 0` (or anything else that can't anchor the
-    /// `cur < base * (1 - tol)` comparison) must be a hard error, never a
-    /// valid denominator.
-    #[test]
-    fn unusable_baseline_eps_is_a_hard_error() {
-        assert!(checked_baseline_eps(None).is_err());
-        assert!(checked_baseline_eps(Some(0.0)).is_err());
-        assert!(checked_baseline_eps(Some(-0.0)).is_err());
-        assert!(checked_baseline_eps(Some(-123.0)).is_err());
-        assert!(checked_baseline_eps(Some(f64::NAN)).is_err());
-        assert!(checked_baseline_eps(Some(f64::INFINITY)).is_err());
-        assert_eq!(checked_baseline_eps(Some(4785425.0)), Ok(4785425.0));
-    }
-
-    /// The producer side of the same gate: sub-tick grids must emit 0,
-    /// not `inf`/`NaN`, so a recorded baseline can never poison
-    /// `checked_baseline_eps` in the first place.
-    #[test]
-    fn engine_agg_guards_zero_wall_time() {
-        let degenerate = EngineAgg {
-            events: 100,
-            ops: 50,
-            elided: 0,
-            sim_ns: 0,
-        };
-        assert_eq!(degenerate.events_per_sec(), 0.0);
-        assert_eq!(degenerate.ops_per_sec(), 0.0);
-        let normal = EngineAgg {
-            events: 100,
-            ops: 50,
-            elided: 0,
-            sim_ns: 1_000_000_000,
-        };
-        assert_eq!(normal.events_per_sec(), 100.0);
-        assert_eq!(normal.ops_per_sec(), 50.0);
-    }
-
-    #[test]
-    fn baseline_cell_events_finds_each_label() {
-        let j = "{\n  \"cells\": [\n    \
-                 {\"label\": \"netcache/fft/16\", \"events\": 24548, \"ops\": 7}, \n    \
-                 {\"label\": \"netcache/wf/16\", \"events\": 569335, \"ops\": 9}\n  ],\n  \
-                 \"events_per_sec\": 123\n}";
-        assert_eq!(baseline_cell_events(j, "netcache/fft/16"), Some(24548));
-        assert_eq!(baseline_cell_events(j, "netcache/wf/16"), Some(569335));
-        assert_eq!(baseline_cell_events(j, "netcache/lu/16"), None);
-    }
-
-    #[test]
-    fn json_num_takes_the_last_occurrence() {
-        let j = "{\"history\": [{\"events_per_sec\": 11}], \"events_per_sec\": 42.5}";
-        assert_eq!(json_num(j, "events_per_sec"), Some(42.5));
-        assert_eq!(json_num(j, "missing"), None);
     }
 }

@@ -1,12 +1,13 @@
-//! Adversarial CLI tests for the topology flags.
+//! Adversarial CLI tests for the topology flags and `replay`'s trace input.
 //!
-//! The driver's contract for bad flag values is exit code 2 with a
-//! diagnostic that **names the offending flag** — never a panic, never a
+//! The CLI's contract for bad input is exit code 2 with a diagnostic
+//! that **names the offending flag or file** — never a panic, never a
 //! silently coerced machine. These tests shell out to the real binary
 //! (`CARGO_BIN_EXE_netcache`) so they pin the process-level behavior a
 //! script caller actually sees: exit status, stderr wording, and the
 //! absence of a simulation run on the bad path.
 
+use std::path::PathBuf;
 use std::process::Command;
 
 fn netcache(args: &[&str]) -> std::process::Output {
@@ -18,6 +19,23 @@ fn netcache(args: &[&str]) -> std::process::Output {
 
 fn stderr_of(out: &std::process::Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+fn stdout_of(out: &std::process::Output) -> String {
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+/// An empty scratch directory of this test process (tests run in
+/// parallel, so each names its own).
+fn scratch_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("netcache-cli-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create a scratch directory");
+    dir
+}
+
+fn path_arg(dir: &std::path::Path) -> &str {
+    dir.to_str().expect("scratch path is UTF-8")
 }
 
 /// An unknown fabric name must exit 2 naming `--topology` and listing
@@ -101,4 +119,94 @@ fn valid_topology_runs_clean() {
         "0.02",
     ]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
+}
+
+/// `replay` runs processor `p`'s trace on node `p`: at 16 processors a
+/// string sort of the file names would run `water.10.trace` on node 2.
+/// Replaying what `trace` wrote must reproduce `run` exactly.
+#[test]
+fn replay_of_sixteen_traces_matches_run() {
+    let dir = scratch_dir("order");
+    let shape = ["--procs", "16", "--scale", "0.02"];
+    let traced = netcache(&[&["trace", "water", path_arg(&dir)][..], &shape].concat());
+    assert_eq!(
+        traced.status.code(),
+        Some(0),
+        "stderr: {}",
+        stderr_of(&traced)
+    );
+    let replay = netcache(&["replay", path_arg(&dir)]);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        replay.status.code(),
+        Some(0),
+        "stderr: {}",
+        stderr_of(&replay)
+    );
+    let run = netcache(&[&["run", "water"][..], &shape].concat());
+    assert_eq!(run.status.code(), Some(0), "stderr: {}", stderr_of(&run));
+    let replayed = stdout_of(&replay);
+    let ran = stdout_of(&run);
+    assert_eq!(
+        replayed.trim_end().strip_prefix("replayed 16 traces: "),
+        ran.lines().next(),
+        "replay and run disagree"
+    );
+}
+
+/// A missing or empty trace directory exits 2 naming it.
+#[test]
+fn replay_without_traces_exits_two_naming_the_directory() {
+    let dir = scratch_dir("missing");
+    let missing = dir.join("no-such-dir");
+    let out = netcache(&["replay", path_arg(&missing)]);
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr_of(&out));
+    assert!(
+        stderr_of(&out).contains("no-such-dir"),
+        "directory not named: {}",
+        stderr_of(&out)
+    );
+    let out = netcache(&["replay", path_arg(&dir)]);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr_of(&out));
+    assert!(
+        stderr_of(&out).contains("no .trace files"),
+        "stderr: {}",
+        stderr_of(&out)
+    );
+}
+
+/// A malformed trace line exits 2 naming the file and the line.
+#[test]
+fn replay_malformed_line_exits_two_naming_file_and_line() {
+    let dir = scratch_dir("malformed");
+    std::fs::write(dir.join("t.0.trace"), "C 5\nX 9\n").expect("write a trace");
+    let out = netcache(&["replay", path_arg(&dir)]);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr_of(&out));
+    let err = stderr_of(&out);
+    assert!(err.contains("t.0.trace"), "file not named: {err}");
+    assert!(err.contains("line 2"), "line not named: {err}");
+}
+
+/// Lock and barrier ids are only names: a trace using id 4000000000
+/// replays exactly like one using id 0, instead of sizing the engine's
+/// per-id tables by the id.
+#[test]
+fn replay_huge_sync_ids_run_like_id_zero() {
+    let summary = |name: &str, id: &str| {
+        let dir = scratch_dir(name);
+        let text = format!("A {id}\nC 10\nL {id}\nB {id}\n");
+        std::fs::write(dir.join("t.0.trace"), text).expect("write a trace");
+        let out = netcache(&["replay", path_arg(&dir)]);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "id {id}: stderr: {}",
+            stderr_of(&out)
+        );
+        stdout_of(&out)
+    };
+    assert_eq!(summary("huge-ids", "4000000000"), summary("zero-ids", "0"));
 }

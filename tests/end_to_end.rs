@@ -2,7 +2,7 @@
 //! public facade, checking the paper's qualitative claims at small scale.
 
 use netcache::apps::{AppId, Workload};
-use netcache::{run_app, Arch, Machine, SysConfig};
+use netcache::{run_app, run_streams, Arch, EngineScratch, SysConfig};
 
 const SCALE: f64 = 0.03;
 
@@ -163,7 +163,7 @@ fn custom_streams_api_works_end_to_end() {
             )
         })
         .collect();
-    let r = Machine::with_streams(&cfg, streams).run();
+    let r = run_streams(&cfg, streams, &mut EngineScratch::new());
     assert_eq!(r.total_reads(), 16000);
     // Reads served off the ring (hits + rides on in-flight insertions)
     // avoid a dedicated memory access; for co-streamed data that should

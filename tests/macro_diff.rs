@@ -11,19 +11,19 @@
 
 use netcache::apps::{AppId, Workload};
 use netcache::mem::AddressMap;
-use netcache::{Arch, Machine, SysConfig};
+use netcache::{run_streams, Arch, EngineScratch, SysConfig};
 
 fn diff_cell(arch: Arch, app: AppId, nodes: usize, scale: f64) {
     let cfg = SysConfig::base(arch).with_nodes(nodes);
     let wl = Workload::new(app, nodes).scale(scale);
     let map = AddressMap::new(cfg.nodes, cfg.l2.block_bytes);
-    let macro_report = Machine::with_streams(&cfg, wl.streams(&map)).run();
+    let macro_report = run_streams(&cfg, wl.streams(&map), &mut EngineScratch::new());
     let scalar_streams = wl
         .streams(&map)
         .into_iter()
         .map(|s| s.scalarized())
         .collect();
-    let scalar_report = Machine::with_streams(&cfg, scalar_streams).run();
+    let scalar_report = run_streams(&cfg, scalar_streams, &mut EngineScratch::new());
     assert_eq!(
         macro_report.digest(),
         scalar_report.digest(),
