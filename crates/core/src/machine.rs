@@ -1401,7 +1401,10 @@ fn schedule_clamped(queue: &mut EventQueue<Event>, at: Time, ev: Event) {
 /// `scratch` carries the event queue's allocations from run to run.
 ///
 /// Streams must obey the front-end contract: identical barrier sequences
-/// on every processor and properly nested lock pairs.
+/// on every processor, properly nested lock pairs, no lock held at a
+/// barrier or at the end, and an acyclic lock order.
+/// [`netcache_apps::trace::check_contract`] checks it on materialized
+/// traces; `netcache replay` runs that check first.
 ///
 /// ```
 /// use netcache_core::{run_streams, Arch, EngineScratch, SysConfig};
@@ -1424,7 +1427,8 @@ fn schedule_clamped(queue: &mut EventQueue<Event>, at: Time, ev: Event) {
 ///
 /// # Panics
 /// If the configuration fails validation, `streams` is empty or longer
-/// than the node count, or the streams deadlock (mismatched barriers).
+/// than the node count, or the streams deadlock (they break the
+/// contract).
 pub fn run_streams(
     cfg: &SysConfig,
     streams: Vec<OpStream>,

@@ -36,10 +36,15 @@
 //! per processor, `p` counted from 0, and runs processor `p` on node `p`.
 //! Lock and barrier ids are renumbered densely before the run (they are
 //! only names). A missing directory, a misnamed file or a malformed line
-//! exits 2 naming the directory or file, and the line where there is one.
+//! exits 2 naming the directory or file, and the line where there is one;
+//! so does a set of traces that breaks the front-end contract
+//! (`trace::check_contract`), naming the file and the op index.
+//!
+//! Every file this CLI writes (`trace`'s traces, `sweep`'s `--json`
+//! and `--csv`) exits 2 naming the path if it cannot be written.
 
 use std::collections::HashMap;
-use std::io::Write as _;
+use std::io::BufWriter;
 use std::path::PathBuf;
 use std::process::exit;
 
@@ -266,15 +271,27 @@ fn apply_topology(mut cfg: SysConfig, args: &Args) -> SysConfig {
     cfg
 }
 
+/// Prints `what` and exits 2: the CLI's answer to bad input.
+fn fail(what: String) -> ! {
+    eprintln!("{what}");
+    exit(2)
+}
+
+/// Writes `contents` to `path`, exiting 2 naming `flag` and the path if
+/// it cannot.
+fn write_file(flag: &str, path: &str, contents: String) {
+    if let Err(e) = std::fs::write(path, contents) {
+        fail(format!("cannot write {flag} {path}: {e}"))
+    }
+    println!("wrote {path}");
+}
+
 /// Reads a `trace` directory: one `<app>.<p>.trace` file per processor,
 /// `p` counted from 0 without gaps, in processor order (a string sort
 /// would put `water.10` before `water.2` and run it on the wrong node).
-/// Every failure exits 2 naming the directory or file, and the line.
-fn load_traces(dir: &str) -> Vec<Vec<Op>> {
-    let fail = |what: String| -> ! {
-        eprintln!("{what}");
-        exit(2)
-    };
+/// Returns each processor's file and trace. Every failure exits 2 naming
+/// the directory or file, and the line.
+fn load_traces(dir: &str) -> (Vec<PathBuf>, Vec<Vec<Op>>) {
     let entries: std::io::Result<Vec<_>> = std::fs::read_dir(dir).and_then(|d| d.collect());
     let entries =
         entries.unwrap_or_else(|e| fail(format!("cannot read trace directory {dir}: {e}")));
@@ -301,20 +318,21 @@ fn load_traces(dir: &str) -> Vec<Vec<Op>> {
     }
     files.sort();
     files
-        .iter()
+        .into_iter()
         .enumerate()
         .map(|(i, (p, path))| {
-            if *p != i {
+            if p != i {
                 fail(format!(
                     "{}: expected the trace of processor {i} (one file per processor, from 0)",
                     path.display()
                 ));
             }
-            let f = std::fs::File::open(path)
+            let f = std::fs::File::open(&path)
                 .unwrap_or_else(|e| fail(format!("{}: {e}", path.display())));
-            trace::load(f).unwrap_or_else(|e| fail(format!("{}: {e}", path.display())))
+            let ops = trace::load(f).unwrap_or_else(|e| fail(format!("{}: {e}", path.display())));
+            (path, ops)
         })
-        .collect()
+        .unzip()
 }
 
 /// Renames lock ids and barrier ids to dense ids, each kind separately
@@ -463,12 +481,10 @@ fn main() {
                 );
             }
             if let Some(path) = &args.json {
-                std::fs::write(path, result.to_json()).expect("write --json file");
-                println!("wrote {path}");
+                write_file("--json", path, result.to_json());
             }
             if let Some(path) = &args.csv {
-                std::fs::write(path, result.to_csv()).expect("write --csv file");
-                println!("wrote {path}");
+                write_file("--csv", path, result.to_csv());
             }
         }
         "trace" => {
@@ -479,22 +495,33 @@ fn main() {
                     .unwrap_or_else(|| usage()),
             );
             let dir = args.positional.get(2).cloned().unwrap_or_else(|| usage());
-            std::fs::create_dir_all(&dir).expect("create trace dir");
+            if let Err(e) = std::fs::create_dir_all(&dir) {
+                fail(format!("cannot create trace directory {dir}: {e}"))
+            }
             let map = AddressMap::new(args.procs, 64);
             let wl = Workload::new(app, args.procs).scale(args.scale);
             for (p, stream) in wl.streams(&map).into_iter().enumerate() {
                 let path = format!("{dir}/{}.{p}.trace", app.name());
-                let mut f = std::fs::File::create(&path).expect("create trace file");
-                for op in stream {
-                    writeln!(f, "{}", trace::format_op(&op)).expect("write");
+                let written = std::fs::File::create(&path)
+                    .and_then(|f| trace::write(BufWriter::new(f), stream));
+                if let Err(e) = written {
+                    fail(format!("cannot write trace {path}: {e}"))
                 }
                 println!("wrote {path}");
             }
         }
         "replay" => {
             let dir = args.positional.get(1).cloned().unwrap_or_else(|| usage());
-            let mut traces = load_traces(&dir);
+            let (paths, mut traces) = load_traces(&dir);
             renumber_sync_ids(&mut traces);
+            if let Err(e) = trace::check_contract(&traces) {
+                fail(format!(
+                    "{}: op {}: {}",
+                    paths[e.proc].display(),
+                    e.op,
+                    e.reason
+                ))
+            }
             let procs = traces.len();
             let cfg = SysConfig::base(args.arch).with_nodes(procs.max(args.procs));
             if let Err(e) = cfg.validate() {

@@ -1,4 +1,5 @@
-//! Adversarial CLI tests for the topology flags and `replay`'s trace input.
+//! Adversarial CLI tests for the topology flags, `trace`'s output and
+//! `replay`'s trace input.
 //!
 //! The CLI's contract for bad input is exit code 2 with a diagnostic
 //! that **names the offending flag or file** — never a panic, never a
@@ -7,8 +8,11 @@
 //! script caller actually sees: exit status, stderr wording, and the
 //! absence of a simulation run on the bad path.
 
-use std::path::PathBuf;
-use std::process::Command;
+use netcache::apps::trace;
+use netcache::sim::Xoshiro256StarStar as Rng;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn netcache(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_netcache"))
@@ -209,4 +213,251 @@ fn replay_huge_sync_ids_run_like_id_zero() {
         stdout_of(&out)
     };
     assert_eq!(summary("huge-ids", "4000000000"), summary("zero-ids", "0"));
+}
+
+/// `trace` into a directory that cannot be created (its parent is a
+/// regular file) exits 2 naming the path, instead of panicking.
+#[test]
+fn trace_into_a_path_under_a_file_exits_two_naming_the_path() {
+    let dir = scratch_dir("trace-under-file");
+    let file = dir.join("plain");
+    std::fs::write(&file, "not a directory").expect("write a file");
+    let target = file.join("traces");
+    let out = netcache(&[
+        "trace",
+        "sor",
+        path_arg(&target),
+        "--procs",
+        "2",
+        "--scale",
+        "0.01",
+    ]);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr_of(&out));
+    let err = stderr_of(&out);
+    assert!(err.contains(path_arg(&target)), "path not named: {err}");
+}
+
+/// Replays one trace per processor and returns the process output.
+fn replay_texts(name: &str, texts: &[&str]) -> std::process::Output {
+    let dir = scratch_dir(name);
+    for (p, text) in texts.iter().enumerate() {
+        std::fs::write(dir.join(format!("t.{p}.trace")), text).expect("write a trace");
+    }
+    let out = netcache(&["replay", path_arg(&dir)]);
+    let _ = std::fs::remove_dir_all(&dir);
+    out
+}
+
+/// Asserts `out` exited 2 naming `file` and op `op` of it.
+fn assert_contract_error(out: &std::process::Output, file: &str, op: usize) {
+    let err = stderr_of(out);
+    assert_eq!(out.status.code(), Some(2), "stderr: {err}");
+    assert!(err.contains(file), "file not named: {err}");
+    assert!(
+        err.contains(&format!("op {op}:")),
+        "op {op} not named: {err}"
+    );
+}
+
+/// Barrier sequences that differ between processors would leave the
+/// engine waiting forever; `replay` names the processor that falls short.
+#[test]
+fn replay_mismatched_barriers_exits_two_naming_file_and_op() {
+    let out = replay_texts("barriers", &["C 5\nB 0\n", "C 1\n"]);
+    assert_contract_error(&out, "t.1.trace", 1);
+}
+
+/// Releasing a lock the processor does not hold is rejected before the
+/// run.
+#[test]
+fn replay_unpaired_release_exits_two_naming_file_and_op() {
+    let out = replay_texts("release", &["C 5\nL 3\nC 5\n"]);
+    assert_contract_error(&out, "t.0.trace", 1);
+}
+
+/// A lock held across a barrier deadlocks any processor that needs it
+/// before the same barrier.
+#[test]
+fn replay_lock_held_across_a_barrier_exits_two_naming_file_and_op() {
+    let out = replay_texts("held", &["A 0\nB 0\nL 0\n", "A 0\nL 0\nB 0\n"]);
+    assert_contract_error(&out, "t.0.trace", 1);
+}
+
+/// One processor's trace for the replay fuzz: `phases` barrier phases
+/// of compute, references and properly ordered lock sections (lock ids
+/// ascending, so the lock order is acyclic).
+fn fuzz_program(rng: &mut Rng, phases: u64, huge_ids: bool) -> Vec<String> {
+    let id = |small: u64| {
+        if huge_ids {
+            u32::MAX as u64 - small
+        } else {
+            small
+        }
+    };
+    let mut lines = Vec::new();
+    for phase in 0..phases {
+        for _ in 0..rng.range(1, 6) {
+            match rng.below(4) {
+                0 => lines.push(format!("C {}", rng.range(1, 50))),
+                1 => lines.push(format!("R {:x}", rng.next_u64() >> rng.below(64))),
+                2 => lines.push(format!("W {:x}", rng.below(1 << 20) * 8)),
+                _ => {
+                    let outer = rng.below(3);
+                    let inner = outer + 1 + rng.below(3);
+                    lines.push(format!("A {}", id(outer)));
+                    if rng.chance(0.5) {
+                        lines.push(format!("A {}", id(inner)));
+                        lines.push(format!("W {:x}", rng.below(1 << 12) * 8));
+                        lines.push(format!("L {}", id(inner)));
+                    }
+                    lines.push(format!("L {}", id(outer)));
+                }
+            }
+        }
+        lines.push(format!("B {}", id(phase % 3)));
+    }
+    lines
+}
+
+/// Seeded trace directories, valid and broken, through the real binary:
+/// every one exits 0 or 2 in time (never a panic, abort or hang), and
+/// exits 0 exactly when every file parses and `check_contract` accepts
+/// the set.
+#[test]
+fn replay_fuzz_exits_zero_or_two_and_zero_iff_the_contract_holds() {
+    let (mut accepted, mut rejected) = (0, 0);
+    for case in 0..80u64 {
+        let seed = 0xF022_0000 + case;
+        let mut rng = Rng::seeded(seed);
+        let procs = rng.range(1, 9) as usize;
+        let phases = rng.range(1, 4);
+        let huge = rng.chance(0.2);
+        let mut files: Vec<Vec<String>> = (0..procs)
+            .map(|_| fuzz_program(&mut rng, phases, huge))
+            .collect();
+        mutate(&mut rng, &mut files);
+        let dir = scratch_dir(&format!("fuzz-{case}"));
+        let texts: Vec<String> = files
+            .iter()
+            .map(|lines| {
+                let mut text = lines.join("\n");
+                if !text.is_empty() && rng.chance(0.8) {
+                    text.push('\n');
+                }
+                text
+            })
+            .collect();
+        for (p, text) in texts.iter().enumerate() {
+            std::fs::write(dir.join(format!("t.{p}.trace")), text).expect("write a trace");
+        }
+        let parsed: Result<Vec<_>, _> = texts.iter().map(|t| trace::load(t.as_bytes())).collect();
+        let valid = parsed.is_ok_and(|traces| trace::check_contract(&traces).is_ok());
+        let (code, err) = replay_with_timeout(&dir, Duration::from_secs(60))
+            .unwrap_or_else(|| panic!("seed {seed:#x}: replay still running after 60 s"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let want = if valid { 0 } else { 2 };
+        assert_eq!(
+            code,
+            Some(want),
+            "seed {seed:#x}: replay of {texts:?} exited {code:?}, want {want}; stderr: {err}"
+        );
+        if valid {
+            accepted += 1;
+        } else {
+            rejected += 1;
+        }
+    }
+    assert!(
+        accepted >= 15 && rejected >= 15,
+        "accepted {accepted}, rejected {rejected}"
+    );
+}
+
+/// Applies at most one seeded defect to a valid set of traces.
+fn mutate(rng: &mut Rng, files: &mut [Vec<String>]) {
+    let p = rng.below(files.len() as u64) as usize;
+    let lines = &mut files[p];
+    let at = |rng: &mut Rng, lines: &[String]| rng.below(lines.len() as u64 + 1) as usize;
+    let find = |lines: &[String], kind: &str| lines.iter().position(|l| l.starts_with(kind));
+    match rng.below(16) {
+        // Mismatched barriers: one changed, dropped or added.
+        0 => {
+            if let Some(i) = find(lines, "B ") {
+                lines[i] = format!("B {}", rng.range(3, 9));
+            }
+        }
+        1 => {
+            if let Some(i) = find(lines, "B ") {
+                lines.remove(i);
+            }
+        }
+        2 => {
+            let i = at(rng, lines);
+            lines.insert(i, "B 7".into());
+        }
+        // An unpaired release, or a lock still held at the end.
+        3 => {
+            let i = at(rng, lines);
+            lines.insert(i, "L 9".into());
+        }
+        4 => {
+            if let Some(i) = find(lines, "L ") {
+                lines.remove(i);
+            }
+        }
+        // A lock held across the next barrier.
+        5 => {
+            if let Some(b) = find(lines, "B ") {
+                lines.insert(b + 1, "L 9".into());
+                lines.insert(b, "A 9".into());
+            }
+        }
+        // A lock-order cycle across two processors, or a re-acquire.
+        6 => {
+            let other = (p + 1) % files.len();
+            files[p].splice(0..0, ["A 10", "A 11", "L 11", "L 10"].map(String::from));
+            files[other].splice(0..0, ["A 11", "A 10", "L 10", "L 11"].map(String::from));
+        }
+        7 => {
+            let i = at(rng, lines);
+            lines.splice(i..i, ["A 12", "A 12", "L 12", "L 12"].map(String::from));
+        }
+        // A truncated line, an empty file, every file empty.
+        8 => {
+            let i = rng.below(lines.len() as u64) as usize;
+            let keep = rng.below(lines[i].len() as u64) as usize;
+            lines[i].truncate(keep);
+        }
+        9 => lines.clear(),
+        10 => files.iter_mut().for_each(Vec::clear),
+        _ => {}
+    }
+}
+
+/// Runs `netcache replay dir`, killing it after `limit`; the exit code
+/// (`None` for a signal) and stderr, or `None` on timeout.
+fn replay_with_timeout(dir: &Path, limit: Duration) -> Option<(Option<i32>, String)> {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_netcache"))
+        .args(["replay", path_arg(dir)])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn netcache binary");
+    let start = Instant::now();
+    loop {
+        if let Some(status) = child.try_wait().expect("poll the replay") {
+            let out = child.wait_with_output().expect("collect stderr");
+            return Some((
+                status.code(),
+                String::from_utf8_lossy(&out.stderr).into_owned(),
+            ));
+        }
+        if start.elapsed() > limit {
+            let _ = child.kill();
+            let _ = child.wait();
+            return None;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
