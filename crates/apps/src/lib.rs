@@ -44,6 +44,6 @@ mod sor;
 mod water;
 mod wf;
 
-pub use ops::{BarrierId, LockId, MacroOp, MacroSource, Nest, Op, OpSource, OpStream, Slot};
+pub use ops::{BarrierId, LockId, MacroOp, MacroSource, Nest, Op, OpStream, Slot};
 pub use trace::TraceProfile;
 pub use workload::{AppId, ReuseClass, Workload};

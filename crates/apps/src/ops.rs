@@ -358,37 +358,6 @@ impl Iterator for Expand<'_> {
     }
 }
 
-/// Expands `m` from iteration `from_iter` to its end into `out`.
-fn expand_from(m: &MacroOp, from_iter: u64, out: &mut Vec<Op>) {
-    match m {
-        MacroOp::One(op) => {
-            if from_iter == 0 {
-                out.push(*op);
-            }
-        }
-        MacroOp::ComputeRun { cost, n } => {
-            for _ in from_iter..*n {
-                out.push(Op::Compute(*cost));
-            }
-        }
-        MacroOp::ReadRun { base, stride, n } => {
-            for i in from_iter..*n {
-                out.push(Op::Read(base + i * stride));
-            }
-        }
-        MacroOp::WriteRun { base, stride, n } => {
-            for i in from_iter..*n {
-                out.push(Op::Write(base + i * stride));
-            }
-        }
-        MacroOp::Nest(nest) => {
-            for i in from_iter..nest.n {
-                nest.expand_iter_into(i, 0, out);
-            }
-        }
-    }
-}
-
 /// A chunk-at-a-time producer of macro-ops feeding an [`OpStream`].
 ///
 /// Fill-in-place: the stream hands over its (cleared) refill buffer, so
@@ -402,41 +371,17 @@ pub trait MacroSource: Send {
     fn next_chunk(&mut self, buf: &mut Vec<MacroOp>) -> bool;
 }
 
-/// A chunk-at-a-time producer of scalar ops; the scalar convenience form
-/// of [`MacroSource`] (each op is wrapped as [`MacroOp::One`] on refill,
-/// through a reused staging buffer).
-pub trait OpSource: Send {
-    /// Appends the next phase's operations into `buf` (handed over
-    /// cleared); returns false when the program has ended. May leave
-    /// `buf` empty (a phase that emits nothing).
-    fn next_chunk(&mut self, buf: &mut Vec<Op>) -> bool;
-}
-
-/// Adapts an [`OpSource`] to the macro layer with a reused staging buffer.
-struct ScalarChunks<S> {
-    inner: S,
-    buf: Vec<Op>,
-}
-
-impl<S: OpSource> MacroSource for ScalarChunks<S> {
-    fn next_chunk(&mut self, out: &mut Vec<MacroOp>) -> bool {
-        self.buf.clear();
-        if !self.inner.next_chunk(&mut self.buf) {
-            return false;
-        }
-        out.extend(self.buf.iter().map(|&op| MacroOp::One(op)));
-        true
-    }
-}
-
-/// A lazily generated per-processor operation stream.
+/// A per-processor operation stream, fed one of two ways: a materialized
+/// op vector ([`from_ops`](Self::from_ops)) or a [`MacroSource`] drawn on
+/// demand ([`from_macro_source`](Self::from_macro_source)).
 ///
 /// Internally a two-level cursor over the macro-op layer. The *macro
 /// buffer* (`mbuf`) holds the current chunk with a position and an
 /// iteration index into the current macro-op; the *spill buffer* (`sbuf`)
-/// holds already-scalarized ops (a nest iteration tail, a peeked run) and
-/// is always served first. Iterating the stream yields exactly the
-/// concatenation of every macro-op's [`MacroOp::expand`], in order.
+/// holds already-scalarized ops (a nest iteration tail, or a whole
+/// `from_ops` program) and is always served first. Iterating the stream
+/// yields exactly the concatenation of every macro-op's
+/// [`MacroOp::expand`], in order.
 ///
 /// The engine's fast path walks the macro layer directly
 /// ([`spill`](Self::spill) / [`macro_run`](Self::macro_run) /
@@ -475,28 +420,6 @@ impl OpStream {
             spos: 0,
             source: Some(Box::new(source)),
         }
-    }
-
-    /// A stream drawing scalar chunks from `source` on demand.
-    pub fn from_source(source: impl OpSource + 'static) -> Self {
-        Self::from_macro_source(ScalarChunks {
-            inner: source,
-            buf: Vec::new(),
-        })
-    }
-
-    /// Wraps an arbitrary op iterator, batching it into chunks so the
-    /// per-op cost stays an inlined buffer read. The extension point for
-    /// custom front-ends that aren't phase-structured.
-    pub fn lazy(it: impl Iterator<Item = Op> + Send + 'static) -> Self {
-        struct IterSource<I>(I);
-        impl<I: Iterator<Item = Op> + Send> OpSource for IterSource<I> {
-            fn next_chunk(&mut self, buf: &mut Vec<Op>) -> bool {
-                buf.extend(self.0.by_ref().take(1024));
-                !buf.is_empty()
-            }
-        }
-        Self::from_source(IterSource(it))
     }
 
     /// Re-wraps this stream as a scalar-only stream: every macro-op is
@@ -622,41 +545,6 @@ impl OpStream {
         };
         self.bump_iter(n);
     }
-
-    // --- scalar peek API ---------------------------------------------
-
-    /// The remaining buffered scalar run, without consuming it. When the
-    /// spill buffer is drained, the whole remaining current chunk is
-    /// scalarized (refilling from the source first if needed) so callers
-    /// see runs comparable to the pre-macro chunks. Returns an empty
-    /// slice only when the stream has ended.
-    pub fn peek_run(&mut self) -> &[Op] {
-        if self.spos >= self.sbuf.len() {
-            self.sbuf.clear();
-            self.spos = 0;
-            while self.sbuf.is_empty() {
-                if self.cur().is_none() {
-                    break;
-                }
-                while self.mpos < self.mbuf.len() {
-                    expand_from(&self.mbuf[self.mpos], self.iter, &mut self.sbuf);
-                    self.mpos += 1;
-                    self.iter = 0;
-                }
-            }
-        }
-        &self.sbuf[self.spos..]
-    }
-
-    /// Consumes the first `n` ops of the run last returned by
-    /// [`peek_run`](Self::peek_run).
-    ///
-    /// # Panics
-    /// In debug builds, if `n` exceeds the buffered run length.
-    #[inline]
-    pub fn consume(&mut self, n: usize) {
-        self.consume_spill(n);
-    }
 }
 
 impl Iterator for OpStream {
@@ -715,96 +603,8 @@ impl Iterator for OpStream {
 mod tests {
     use super::*;
 
-    /// An [`OpSource`] emitting a fixed schedule of phases, some of which
-    /// may be empty (the shared "gappy" fixture).
-    struct Phased(std::vec::IntoIter<Vec<Op>>);
-
-    fn gappy(phases: Vec<Vec<Op>>) -> Phased {
-        Phased(phases.into_iter())
-    }
-
-    impl OpSource for Phased {
-        fn next_chunk(&mut self, buf: &mut Vec<Op>) -> bool {
-            match self.0.next() {
-                Some(phase) => {
-                    buf.extend(phase);
-                    true
-                }
-                None => false,
-            }
-        }
-    }
-
-    #[test]
-    fn stream_from_ops_iterates_in_order() {
-        let ops = vec![Op::Compute(1), Op::Read(64), Op::Barrier(0)];
-        let got: Vec<Op> = OpStream::from_ops(ops.clone()).collect();
-        assert_eq!(got, ops);
-    }
-
-    #[test]
-    fn lazy_stream_batches_without_reordering() {
-        // More ops than one internal chunk, via a plain iterator.
-        let got: Vec<Op> = OpStream::lazy((0..5000u64).map(|i| Op::Read(i * 64))).collect();
-        assert_eq!(got.len(), 5000);
-        assert_eq!(got[0], Op::Read(0));
-        assert_eq!(got[4999], Op::Read(4999 * 64));
-    }
-
-    #[test]
-    fn empty_chunks_are_skipped() {
-        let s = OpStream::from_source(gappy(vec![
-            Vec::new(), // phases that emit nothing
-            vec![Op::Compute(7)],
-            Vec::new(),
-            vec![Op::Barrier(1)],
-        ]));
-        let got: Vec<Op> = s.collect();
-        assert_eq!(got, vec![Op::Compute(7), Op::Barrier(1)]);
-    }
-
-    #[test]
-    fn exhausted_stream_stays_exhausted() {
-        let mut s = OpStream::from_ops(vec![Op::Compute(1)]);
-        assert_eq!(s.next(), Some(Op::Compute(1)));
-        assert_eq!(s.next(), None);
-        assert_eq!(s.next(), None);
-    }
-
-    #[test]
-    fn peek_run_then_consume_matches_next() {
-        // Interleaving peeks, partial consumes, and next() must walk the
-        // stream in order exactly once, across chunk boundaries.
-        let ops: Vec<Op> = (0..3000u64).map(|i| Op::Read(i * 64)).collect();
-        let mut peeked = OpStream::lazy(ops.clone().into_iter());
-        let mut got = Vec::new();
-        loop {
-            let run = peeked.peek_run();
-            if run.is_empty() {
-                break;
-            }
-            let take = (run.len() / 2).max(1);
-            got.extend_from_slice(&run[..take]);
-            peeked.consume(take);
-            if let Some(op) = peeked.next() {
-                got.push(op);
-            }
-        }
-        assert_eq!(got, ops);
-        // Exhausted: peek stays empty, next stays None.
-        assert!(peeked.peek_run().is_empty());
-        assert_eq!(peeked.next(), None);
-    }
-
-    #[test]
-    fn peek_run_skips_empty_chunks() {
-        let mut s = OpStream::from_source(gappy(vec![Vec::new(), vec![Op::Compute(7)]]));
-        assert_eq!(s.peek_run(), &[Op::Compute(7)]);
-        s.consume(1);
-        assert!(s.peek_run().is_empty());
-    }
-
-    /// A [`MacroSource`] emitting a fixed schedule of macro chunks.
+    /// A [`MacroSource`] emitting a fixed schedule of macro chunks, some
+    /// of which may be empty (phases that emit nothing).
     struct MacroPhased(std::vec::IntoIter<Vec<MacroOp>>);
 
     impl MacroSource for MacroPhased {
@@ -817,6 +617,64 @@ mod tests {
                 None => false,
             }
         }
+    }
+
+    fn phased(phases: Vec<Vec<MacroOp>>) -> OpStream {
+        OpStream::from_macro_source(MacroPhased(phases.into_iter()))
+    }
+
+    #[test]
+    fn stream_from_ops_iterates_in_order() {
+        let ops = vec![Op::Compute(1), Op::Read(64), Op::Barrier(0)];
+        let got: Vec<Op> = OpStream::from_ops(ops.clone()).collect();
+        assert_eq!(got, ops);
+    }
+
+    #[test]
+    fn empty_chunks_are_skipped() {
+        let one = |op| vec![MacroOp::One(op)];
+        let got: Vec<Op> = phased(vec![
+            Vec::new(), // phases that emit nothing
+            one(Op::Compute(7)),
+            Vec::new(),
+            one(Op::Barrier(1)),
+        ])
+        .collect();
+        assert_eq!(got, vec![Op::Compute(7), Op::Barrier(1)]);
+        // The engine's cursor refills across an empty phase too, and
+        // stays empty once the source has ended.
+        let mut s = phased(vec![Vec::new(), one(Op::Compute(7))]);
+        assert_eq!(s.macro_run(), &[MacroOp::One(Op::Compute(7))]);
+        s.consume_ones(1);
+        assert!(s.macro_run().is_empty());
+    }
+
+    #[test]
+    fn exhausted_stream_stays_exhausted() {
+        let mut s = OpStream::from_ops(vec![Op::Compute(1)]);
+        assert_eq!(s.next(), Some(Op::Compute(1)));
+        assert_eq!(s.next(), None);
+        assert_eq!(s.next(), None);
+    }
+
+    #[test]
+    fn spill_then_next_walks_a_materialized_stream_once() {
+        // The engine's walk of a `from_ops` (replay) stream: partial
+        // consumes of the spill interleaved with next() visit every op
+        // exactly once, in order.
+        let ops: Vec<Op> = (0..3000u64).map(|i| Op::Read(i * 64)).collect();
+        let mut s = OpStream::from_ops(ops.clone());
+        let mut got = Vec::new();
+        while !s.spill().is_empty() {
+            let run = s.spill();
+            let take = (run.len() / 2).max(1);
+            got.extend_from_slice(&run[..take]);
+            s.consume_spill(take);
+            got.extend(s.next());
+        }
+        assert_eq!(got, ops);
+        assert!(s.macro_run().is_empty());
+        assert_eq!(s.next(), None);
     }
 
     fn sample_macros() -> Vec<MacroOp> {
@@ -856,20 +714,16 @@ mod tests {
             macros.iter().map(|m| m.ops_len()).sum::<u64>()
         );
         // Via the macro source (single chunk).
-        let got: Vec<Op> =
-            OpStream::from_macro_source(MacroPhased(vec![macros.clone()].into_iter())).collect();
+        let got: Vec<Op> = phased(vec![macros.clone()]).collect();
         assert_eq!(got, oracle);
         // Split across chunks at every boundary.
         for split in 0..=macros.len() {
             let (a, b) = macros.split_at(split);
-            let got: Vec<Op> =
-                OpStream::from_macro_source(MacroPhased(vec![a.to_vec(), b.to_vec()].into_iter()))
-                    .collect();
+            let got: Vec<Op> = phased(vec![a.to_vec(), b.to_vec()]).collect();
             assert_eq!(got, oracle, "split at {split}");
         }
         // And scalarized() is an identity on the op sequence.
-        let s = OpStream::from_macro_source(MacroPhased(vec![macros].into_iter()));
-        let got: Vec<Op> = s.scalarized().collect();
+        let got: Vec<Op> = phased(vec![macros]).scalarized().collect();
         assert_eq!(got, oracle);
     }
 
@@ -925,44 +779,32 @@ mod tests {
     }
 
     #[test]
-    fn peek_run_crosses_chunk_refill_mid_run() {
-        // Start consuming a run via next(), leaving the cursor mid-run;
-        // peek_run must scalarize the remainder, and after consuming it
-        // the next peek refills across the chunk boundary.
-        let mut s = OpStream::from_macro_source(MacroPhased(
-            vec![
-                vec![MacroOp::ReadRun {
-                    base: 0,
-                    stride: 4,
-                    n: 5,
-                }],
-                vec![MacroOp::WriteRun {
-                    base: 1024,
-                    stride: 8,
-                    n: 4,
-                }],
-            ]
-            .into_iter(),
-        ));
+    fn macro_cursor_crosses_chunk_refill_mid_run() {
+        // Start a run via next(), leaving the cursor mid-run: the engine's
+        // cursor resumes at that iteration, and consuming the rest
+        // refills across the chunk boundary.
+        let read = MacroOp::ReadRun {
+            base: 0,
+            stride: 4,
+            n: 5,
+        };
+        let write = MacroOp::WriteRun {
+            base: 1024,
+            stride: 8,
+            n: 4,
+        };
+        let mut s = phased(vec![vec![read.clone()], vec![write.clone()]]);
         assert_eq!(s.next(), Some(Op::Read(0)));
         assert_eq!(s.next(), Some(Op::Read(4)));
-        // Mid-run peek: the remaining three reads of the first run.
-        assert_eq!(s.peek_run(), &[Op::Read(8), Op::Read(12), Op::Read(16)]);
-        s.consume(2);
-        assert_eq!(s.peek_run(), &[Op::Read(16)]);
-        s.consume(1);
-        // Drained: the next peek crosses into the second chunk.
-        assert_eq!(
-            s.peek_run(),
-            &[
-                Op::Write(1024),
-                Op::Write(1032),
-                Op::Write(1040),
-                Op::Write(1048)
-            ]
-        );
-        s.consume(4);
-        assert!(s.peek_run().is_empty());
+        assert_eq!(s.macro_run(), &[read]);
+        assert_eq!(s.cur_iter(), 2);
+        s.consume_iters(2);
+        assert_eq!(s.next(), Some(Op::Read(16)));
+        // Drained: the next look crosses into the second chunk.
+        assert_eq!(s.macro_run(), &[write]);
+        assert_eq!(s.cur_iter(), 0);
+        s.consume_iters(4);
+        assert!(s.macro_run().is_empty());
         assert_eq!(s.next(), None);
     }
 
@@ -970,18 +812,15 @@ mod tests {
     fn engine_cursor_walks_iterations_and_spills_tails() {
         let mut nest = Nest::new(3);
         nest.read(0, 64).compute(2).write(4096, 64);
-        let mut s = OpStream::from_macro_source(MacroPhased(
-            vec![vec![
-                MacroOp::One(Op::Compute(9)),
-                MacroOp::Nest(Box::new(nest)),
-                MacroOp::ReadRun {
-                    base: 1 << 20,
-                    stride: 4,
-                    n: 4,
-                },
-            ]]
-            .into_iter(),
-        ));
+        let mut s = phased(vec![vec![
+            MacroOp::One(Op::Compute(9)),
+            MacroOp::Nest(Box::new(nest)),
+            MacroOp::ReadRun {
+                base: 1 << 20,
+                stride: 4,
+                n: 4,
+            },
+        ]]);
         assert!(s.spill().is_empty());
         assert!(matches!(s.macro_run()[0], MacroOp::One(Op::Compute(9))));
         s.consume_ones(1);

@@ -155,11 +155,12 @@ fn bench_ring() {
     });
 }
 
-/// The event-elision fast path's substrate: walk a `peek_run` slice of
-/// private-hitting ops, probing L1/L2 with the hit-only `read_hit` and
-/// folding compute cycles inline — the per-op cost that replaced a
-/// schedule/pop/dispatch round per op. One iter consumes a full run of up
-/// to 1024 ops, so divide ns/iter by ~1024 for the per-elided-op cost.
+/// The event-elision fast path's substrate on a materialized (`from_ops`,
+/// replay) stream: walk its `spill` slice of private-hitting ops, probing
+/// L1/L2 with the hit-only `read_hit` and folding compute cycles inline —
+/// the per-op cost that replaced a schedule/pop/dispatch round per op.
+/// One iter consumes a full run of 1024 ops, so divide ns/iter by ~1024
+/// for the per-elided-op cost.
 fn bench_elide_private_run() {
     // A resident working set: 64 blocks touched round-robin, far under
     // the 16 KB L1, so after warm-up every probe is an L1 hit (the case
@@ -181,7 +182,7 @@ fn bench_elide_private_run() {
     let mut now = 0u64;
     let mut busy = 0u64;
     bench("elide_private_run", 200, || {
-        let run = stream.peek_run();
+        let run = stream.spill();
         if run.is_empty() {
             stream = OpStream::from_ops(pattern.clone());
             return;
@@ -204,7 +205,7 @@ fn bench_elide_private_run() {
             }
             taken += 1;
         }
-        stream.consume(taken);
+        stream.consume_spill(taken);
         black_box((now, busy));
     });
 }

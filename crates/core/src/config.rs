@@ -185,10 +185,13 @@ impl RingConfig {
     }
 
     /// Base ring resized to `kb` KBytes (Fig. 8: 16/32/64 KB ↔ 64/128/256
-    /// channels). `0` disables the ring.
+    /// channels). `0` disables the ring. A size too large to count in
+    /// channels saturates instead of wrapping, so
+    /// [`SysConfig::validate`] sees it and rejects it.
     pub fn sized_kb(kb: u64) -> Self {
+        let channels = kb.saturating_mul(1024 / (4 * 64));
         Self {
-            channels: (kb * 1024 / (4 * 64)) as usize,
+            channels: usize::try_from(channels).unwrap_or(usize::MAX),
             ..Self::base()
         }
     }
@@ -214,6 +217,18 @@ impl RingConfig {
         }
     }
 }
+
+/// The most nodes a machine may have: [`crate::sharers::SharerMap`]
+/// keeps one bit per node in a `u64` mask, and update broadcasts reach
+/// only the nodes whose bit is set.
+const MAX_NODES: usize = 64;
+
+/// The largest shared-cache ring, in KB. The ring allocates its tag and
+/// frame state (48 B of host memory per 64 B frame) for every frame when
+/// the machine is built, and star-of-rings builds one ring per cluster,
+/// so this caps a 64-node machine's ring state near 50 MB. It is 256
+/// times the largest ring the paper studies (64 KB, Figs. 8–10).
+const MAX_RING_KB: u64 = 16 * 1024;
 
 /// Full machine configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -335,6 +350,21 @@ impl SysConfig {
         if self.nodes == 0 {
             return Err("need at least one node".into());
         }
+        if self.nodes > MAX_NODES {
+            return Err(format!(
+                "{} nodes exceed the {MAX_NODES}-node limit (one sharer bit per node)",
+                self.nodes
+            ));
+        }
+        let ring_bytes = (self.ring.channels as u128)
+            .saturating_mul(self.ring.frames_per_channel as u128)
+            .saturating_mul(u128::from(self.ring.block_bytes));
+        if ring_bytes > u128::from(MAX_RING_KB) * 1024 {
+            return Err(format!(
+                "a {} KB shared-cache ring exceeds the {MAX_RING_KB} KB limit",
+                ring_bytes / 1024
+            ));
+        }
         if self.ring.enabled() && !self.ring.channels.is_multiple_of(self.nodes) {
             return Err(format!(
                 "ring channels ({}) must be a multiple of nodes ({})",
@@ -417,6 +447,10 @@ mod tests {
         assert_eq!(RingConfig::sized_kb(64).channels, 256);
         assert_eq!(RingConfig::sized_kb(0).channels, 0);
         assert!(!RingConfig::sized_kb(0).enabled());
+        // 2^54 KB is 2^64 bytes: a wrapping size computation lands on 0
+        // channels, a silently ring-less machine.
+        assert!(RingConfig::sized_kb(1 << 54).enabled());
+        assert!(RingConfig::sized_kb(u64::MAX).enabled());
     }
 
     #[test]
@@ -436,6 +470,21 @@ mod tests {
         assert!(c.validate().is_err());
         c.ring.channels = 0; // disabled is fine
         assert!(c.validate().is_ok());
+    }
+
+    #[test]
+    fn validation_bounds_nodes_and_ring_size() {
+        let c = SysConfig::base(Arch::NetCache);
+        assert!(c.with_nodes(64).validate().is_ok());
+        for nodes in [65, 128] {
+            let e = c.with_nodes(nodes).validate().unwrap_err();
+            assert!(e.contains("64-node limit"), "{e}");
+        }
+        assert!(c.with_ring_kb(MAX_RING_KB).validate().is_ok());
+        for kb in [MAX_RING_KB + 64, 100_000_000, 1 << 54, u64::MAX] {
+            let e = c.with_ring_kb(kb).validate().unwrap_err();
+            assert!(e.contains("KB limit"), "{kb} KB: {e}");
+        }
     }
 
     #[test]

@@ -258,7 +258,7 @@ impl EngineScratch {
 ///
 /// Generic over the protocol type: [`run_streams`] instantiates the
 /// machine at each concrete protocol, so the event loop and the
-/// retirement chain monomorphize — no virtual dispatch per event.
+/// write-buffer retirement monomorphize — no virtual dispatch per event.
 pub(crate) struct Machine<P: Protocol> {
     cfg: SysConfig,
     map: AddressMap,
@@ -283,14 +283,6 @@ pub(crate) struct Machine<P: Protocol> {
     elided: u64,
     /// Which nodes ever filled each block (exact-negative update filter).
     sharers: SharerMap,
-    /// Events whose pop the drain chain proved redundant and elided
-    /// (see [`Machine::retire_chain`]); added back into the report's
-    /// `events` so the count stays schedule-equivalent (digests hash it).
-    synthetic_events: u64,
-    /// Coalesce write-buffer drains: retire a contiguous buffer span
-    /// inside one event where provably equivalent. Cleared only by the
-    /// per-event oracle the drain differential tests run against.
-    batch_drain: bool,
 }
 
 impl<P: Protocol> Machine<P> {
@@ -359,19 +351,7 @@ impl<P: Protocol> Machine<P> {
             ops_done: 0,
             elided: 0,
             sharers: SharerMap::new(),
-            synthetic_events: 0,
-            batch_drain: true,
         }
-    }
-
-    /// Disables drain-chain batching: every retirement schedules its
-    /// Resume and WbAck as real events, reproducing the pre-batching
-    /// engine exactly. The drain differential tests pin the batched path
-    /// against this oracle (same digests, same event counts).
-    #[cfg(test)]
-    fn per_event_drain(mut self) -> Self {
-        self.batch_drain = false;
-        self
     }
 
     /// Runs to completion and returns the report, parking the reset
@@ -417,10 +397,7 @@ impl<P: Protocol> Machine<P> {
             nodes: self.stats,
             proto: *self.proto.counters(),
             ring: self.proto.ring_stats(),
-            // Elided drain-chain events count as if scheduled: the batched
-            // engine must report the exact event total of the per-event
-            // schedule it is equivalent to (digests hash this).
-            events: self.queue.scheduled_total() + self.synthetic_events,
+            events: self.queue.scheduled_total(),
             ops: self.ops_done,
             elided_ops: self.elided,
             channels: self.proto.channel_report(),
@@ -474,95 +451,35 @@ impl<P: Protocol> Machine<P> {
         self.schedule_resume(w, t);
     }
 
-    /// Kicks the retirement process if idle and work exists.
+    /// Kicks the retirement process if idle and work exists: retires the
+    /// head write-buffer entry at local time `t` and schedules its
+    /// acknowledgement. One entry retires per `WbKick` or `WbAck`, as the
+    /// home's acknowledgements serialize them (§3.4 flow control).
     fn maybe_start_retire(&mut self, p: usize, t: Time) {
         self.kick_pending[p] = false;
         if self.procs[p].retiring || self.nodes[p].wb.is_empty() {
             return;
         }
         self.procs[p].retiring = true;
-        self.retire_chain(p, t);
-    }
-
-    /// Retires write-buffer entries starting at local time `t`. Invariant
-    /// on entry: `retiring[p]` is set and the buffer is non-empty.
-    ///
-    /// The per-event engine pays two events per retired block: the WbAck
-    /// that completes one retirement and (for a stalled writer) the
-    /// Resume that restarts the processor. With `batch_drain` the chain
-    /// elides both where their pop is provably the next thing the queue
-    /// would do anyway (`has_event_by` says nothing else is due first):
-    ///
-    /// * a stalled writer's Resume at the current clock fuses into an
-    ///   inline `run_proc` — the dominant wf/radix lockstep pattern
-    ///   (write, stall, retire, resume, write, ...) halves to one real
-    ///   event per block;
-    /// * an unobserved intermediate WbAck skips its trip through the
-    ///   queue and the next entry retires in the same event — a solo
-    ///   drain (pre-barrier flush) retires the whole buffer span on one
-    ///   WbKick plus one final real WbAck.
-    ///
-    /// Elided events are counted in `synthetic_events`; the final WbAck
-    /// of every span is always real, so the drain-complete wake
-    /// (`BlockedDrain`) and the `retiring` window end exactly as before.
-    /// DESIGN.md §12 gives the full equivalence argument.
-    fn retire_chain(&mut self, p: usize, mut t: Time) {
-        loop {
-            let entry = self.nodes[p].wb.pop().expect("non-empty");
-            // The freed slot may unblock a stalled writer immediately.
-            let mut fused_wake = false;
-            if self.procs[p].state == ProcState::BlockedWbFull {
-                if self.batch_drain
-                    && t == self.queue.now()
-                    && self.procs[p].block_start <= t
-                    && !self.queue.has_event_by(t)
-                {
-                    // The wake's Resume would land at the current clock
-                    // with nothing due before it: it would pop next, so
-                    // run the processor inline after this retirement
-                    // instead of scheduling it.
-                    self.stats[p].wb_stall += t - self.procs[p].block_start;
-                    self.procs[p].state = ProcState::Running;
-                    fused_wake = true;
-                } else {
-                    self.wake(p, t, Stall::Wb);
-                }
-            }
-            let ack_at = if entry.shared {
-                self.proto.retire_shared_write(
-                    &mut self.nodes,
-                    p,
-                    &entry,
-                    t,
-                    self.sharers.sharers(entry.block),
-                )
-            } else {
-                // Private write: drains into the local memory, no coherence.
-                let (applied, _) = self.nodes[p].mem.apply_update(t + 1, entry.words());
-                applied
-            };
-            if fused_wake {
-                // Schedule the ack *before* running the processor: every
-                // event the resumed processor schedules must carry a
-                // larger sequence number than this ack, exactly as when
-                // the ack entered the queue ahead of the Resume's pop.
-                schedule_clamped(&mut self.queue, ack_at, Event::WbAck(p));
-                self.synthetic_events += 1; // the elided Resume
-                self.run_proc(p);
-                return;
-            }
-            // Chain: if the ack would pop with nothing scheduled before
-            // it (and more entries wait), its only effect is to re-enter
-            // retirement at `eff` — do that here and skip the event.
-            let eff = ack_at.max(self.queue.now());
-            if self.batch_drain && !self.nodes[p].wb.is_empty() && !self.queue.has_event_by(eff) {
-                self.synthetic_events += 1; // the elided WbAck
-                t = eff;
-                continue;
-            }
-            schedule_clamped(&mut self.queue, ack_at, Event::WbAck(p));
-            return;
+        let entry = self.nodes[p].wb.pop().expect("non-empty");
+        // The freed slot unblocks a stalled writer.
+        if self.procs[p].state == ProcState::BlockedWbFull {
+            self.wake(p, t, Stall::Wb);
         }
+        let ack_at = if entry.shared {
+            self.proto.retire_shared_write(
+                &mut self.nodes,
+                p,
+                &entry,
+                t,
+                self.sharers.sharers(entry.block),
+            )
+        } else {
+            // Private write: drains into the local memory, no coherence.
+            let (applied, _) = self.nodes[p].mem.apply_update(t + 1, entry.words());
+            applied
+        };
+        schedule_clamped(&mut self.queue, ack_at, Event::WbAck(p));
     }
 
     /// An update ack arrived: retire the next entry or complete a drain.
@@ -1396,8 +1313,9 @@ fn schedule_clamped(queue: &mut EventQueue<Event>, at: Time, ev: Event) {
 /// Runs `streams`, one per processor, on the machine `cfg` describes —
 /// the engine's one entry point: [`run_workload`], `run_app`, sweeps and
 /// `netcache replay` all come through here. The protocol type is chosen
-/// statically from `cfg.arch`, so the event loop, the retirement chain
-/// and every protocol call inside them monomorphize per protocol.
+/// statically from `cfg.arch`, so the event loop, the write-buffer
+/// retirement and every protocol call inside them monomorphize per
+/// protocol.
 /// `scratch` carries the event queue's allocations from run to run.
 ///
 /// Streams must obey the front-end contract: identical barrier sequences
@@ -1414,10 +1332,11 @@ fn schedule_clamped(queue: &mut EventQueue<Event>, at: Time, ev: Event) {
 /// let streams = (0..2)
 ///     .map(|p| {
 ///         let base = memsys::addr::SHARED_BASE + p * 64;
-///         netcache_apps::OpStream::lazy(
+///         netcache_apps::OpStream::from_ops(
 ///             (0..100u64)
-///                 .flat_map(move |i| [Op::Compute(5), Op::Read(base + i * 64)])
-///                 .chain([Op::Barrier(0)]),
+///                 .flat_map(|i| [Op::Compute(5), Op::Read(base + i * 64)])
+///                 .chain([Op::Barrier(0)])
+///                 .collect(),
 ///         )
 ///     })
 ///     .collect();
@@ -1697,96 +1616,5 @@ mod tests {
         // aligned TDMA slots; without the drain the run would finish in a
         // handful of cycles.
         assert!(r.cycles >= 25, "barrier crossed before drain: {}", r.cycles);
-    }
-
-    // Coalesced-drain differential. `retire_chain` retires contiguous
-    // write-buffer spans through one drain event, eliding interior
-    // `WbAck`s and the fused `Resume` (DESIGN.md §12). It claims exact
-    // equivalence with the per-event schedule — identical retire times,
-    // FIFO drain order and channel/ring arbitration, and identical event
-    // *counts*, because every elided event is counted as synthetic.
-    // Running every app both ways and comparing event totals plus full
-    // digests pins that claim against the per-event oracle.
-
-    /// [`run_streams`] with drain batching off: the per-event oracle.
-    fn run_per_event(cfg: &SysConfig, streams: Vec<OpStream>) -> RunReport {
-        use crate::proto::{DmonI, DmonU, LambdaNet, NetCacheProto};
-        let s = &mut EngineScratch::new();
-        match cfg.arch {
-            Arch::NetCache => Machine::new(cfg, streams, NetCacheProto::new, s)
-                .per_event_drain()
-                .run(s),
-            Arch::LambdaNet => Machine::new(cfg, streams, LambdaNet::new, s)
-                .per_event_drain()
-                .run(s),
-            Arch::DmonU => Machine::new(cfg, streams, DmonU::new, s)
-                .per_event_drain()
-                .run(s),
-            Arch::DmonI => Machine::new(cfg, streams, DmonI::new, s)
-                .per_event_drain()
-                .run(s),
-        }
-    }
-
-    fn drain_diff(arch: Arch, app: AppId, nodes: usize, scale: f64) {
-        let cfg = SysConfig::base(arch).with_nodes(nodes);
-        let wl = Workload::new(app, nodes).scale(scale);
-        let map = AddressMap::new(cfg.nodes, cfg.l2.block_bytes);
-        let batched = run_streams(&cfg, wl.streams(&map), &mut EngineScratch::new());
-        let per_event = run_per_event(&cfg, wl.streams(&map));
-        assert_eq!(
-            batched.events,
-            per_event.events,
-            "{:?}/{}/n{}/s{}: batched drain mis-counts elided events",
-            arch,
-            app.name(),
-            nodes,
-            scale,
-        );
-        assert_eq!(
-            batched.digest(),
-            per_event.digest(),
-            "{:?}/{}/n{}/s{}: coalesced and per-event drain diverged\n\
-             batched:   {:#?}\nper-event: {:#?}",
-            arch,
-            app.name(),
-            nodes,
-            scale,
-            batched,
-            per_event,
-        );
-    }
-
-    /// Every app on the paper's base architecture, two scales, 4 nodes.
-    #[test]
-    fn all_apps_netcache_batched_drain_matches_per_event() {
-        for app in AppId::ALL {
-            for scale in [0.02, 0.05] {
-                drain_diff(Arch::NetCache, app, 4, scale);
-            }
-        }
-    }
-
-    /// Cross-check on an invalidate protocol: DMON-I's retire path takes
-    /// the slotted-server arbitration differently (per-block invalidates
-    /// rather than updates), exercising the chain-continuation condition
-    /// under different ack latencies.
-    #[test]
-    fn all_apps_dmon_i_batched_drain_matches_per_event() {
-        for app in AppId::ALL {
-            for scale in [0.02, 0.05] {
-                drain_diff(Arch::DmonI, app, 4, scale);
-            }
-        }
-    }
-
-    /// The broadcast write-update system drains through the most
-    /// contended channel model — wb-full stalls are common, so the
-    /// fused-wake elision fires constantly here.
-    #[test]
-    fn all_apps_lambdanet_batched_drain_matches_per_event() {
-        for app in AppId::ALL {
-            drain_diff(Arch::LambdaNet, app, 4, 0.02);
-        }
     }
 }

@@ -302,55 +302,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// True if any pending event has timestamp `<= t` — i.e. whether an
-    /// event scheduled *right now* for time `t` would pop after something
-    /// already queued. Unlike [`next_time`](Self::next_time), the wheel
-    /// scan gives up once it has covered the `now..=t` span, so probing a
-    /// near horizon stays cheap even when the next event is far away.
-    /// The engine's drain-chain batching calls this once per inlined
-    /// event, where the horizon is one ack latency out.
-    pub fn has_event_by(&self, t: Time) -> bool {
-        if self.over.peek().is_some_and(|e| e.time <= t) {
-            return true;
-        }
-        if self.wheel_len == 0 {
-            return false;
-        }
-        if let Some(m) = self.wheel_min {
-            return m <= t;
-        }
-        // Cached minimum stale: bounded forward scan. Scan order visits
-        // slots by increasing delta from `now`, so the first occupied
-        // slot found is the wheel's true minimum — compare it to the
-        // span and stop, or give up once the span is fully covered.
-        let span = t.saturating_sub(self.now).min(MASK);
-        let start = (self.now & MASK) as usize;
-        let mut word = start / 64;
-        let mut bs = self.bits[word] & (!0u64 << (start % 64));
-        let mut covered = (64 - start % 64) as Time;
-        let mut scanned = 0usize;
-        loop {
-            if bs != 0 {
-                let slot = word * 64 + bs.trailing_zeros() as usize;
-                let delta = (slot as Time).wrapping_sub(self.now) & MASK;
-                return delta <= span;
-            }
-            scanned += 1;
-            if scanned > WORDS || covered > span {
-                return false;
-            }
-            word = (word + 1) % WORDS;
-            bs = self.bits[word];
-            if scanned == WORDS {
-                bs &= !(!0u64 << (start % 64));
-                if start.is_multiple_of(64) {
-                    bs = 0;
-                }
-            }
-            covered += 64;
-        }
-    }
-
     /// Number of events currently pending.
     #[inline]
     pub fn len(&self) -> usize {
@@ -539,53 +490,6 @@ mod tests {
             seen[id as usize] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn has_event_by_agrees_with_next_time() {
-        // `has_event_by(t)` must equal `next_time() <= t` in every queue
-        // state: empty, fresh-scheduled (cached minimum), post-pop (stale
-        // minimum forcing the bounded scan), wrapped slots, overflow-only,
-        // and mixed.
-        let mut q = EventQueue::new();
-        assert!(!q.has_event_by(0));
-        assert!(!q.has_event_by(u64::MAX));
-        let mut rng: u64 = 0xD1FF_BEEF;
-        let step = |r: &mut u64| {
-            *r ^= *r << 13;
-            *r ^= *r >> 7;
-            *r ^= *r << 17;
-            *r
-        };
-        for i in 0..3000u64 {
-            let roll = step(&mut rng);
-            let delay = match roll % 6 {
-                0 => 0,
-                1 => roll % 64,
-                2 => roll % 4096,
-                3 => WHEEL as u64 + roll % 4096, // overflow
-                _ => roll % 300,
-            };
-            q.schedule(q.now() + delay, i);
-            if roll % 3 == 0 {
-                q.pop(); // leaves wheel_min stale -> exercises the scan
-            }
-            let probe = q.now() + step(&mut rng) % (2 * WHEEL as u64);
-            let want = q.next_time().is_some_and(|n| n <= probe);
-            assert_eq!(
-                q.has_event_by(probe),
-                want,
-                "i={i} probe={probe} next={:?}",
-                q.next_time()
-            );
-            // Boundary probes around the actual next event time.
-            if let Some(n) = q.next_time() {
-                assert!(q.has_event_by(n));
-                if n > q.now() {
-                    assert!(!q.has_event_by(n - 1));
-                }
-            }
-        }
     }
 
     #[test]

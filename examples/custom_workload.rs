@@ -12,43 +12,45 @@
 //! cargo run --release --example custom_workload
 //! ```
 
-use netcache::apps::{Op, OpStream};
+use netcache::apps::gen::chunked;
+use netcache::apps::OpStream;
 use netcache::mem::addr::SHARED_BASE;
 use netcache::{run_streams, Arch, EngineScratch, SysConfig};
 
 const BUFFERS: u64 = 512; // shared buffer blocks (32 KB — twice the L2)
 const ROUNDS: u64 = 40;
 
+// Each stream is generated one round per phase, with the same chunk
+// builder the twelve applications use: the engine asks for the next
+// round only when it has run this one, so no trace is ever
+// materialized. (A prepared `Vec<Op>` works too: `OpStream::from_ops`.)
+
 fn producer() -> OpStream {
-    OpStream::lazy((0..ROUNDS).flat_map(|round| {
-        let mut ops = Vec::new();
+    chunked(|round, c| {
         for b in 0..BUFFERS {
             // Fill one block: 16 word writes + some compute.
-            for w in 0..16 {
-                ops.push(Op::Write(SHARED_BASE + b * 64 + w * 4));
-            }
-            ops.push(Op::Compute(40));
+            c.write_run(SHARED_BASE + b * 64, 0, 16, 4);
+            c.compute(40);
         }
-        ops.push(Op::Barrier(round as u32));
-        ops
-    }))
+        c.barrier(round as u32);
+        round + 1 < ROUNDS
+    })
 }
 
 fn consumer(id: u64) -> OpStream {
-    OpStream::lazy((0..ROUNDS).flat_map(move |round| {
-        let mut ops = Vec::new();
+    chunked(move |round, c| {
         for b in 0..BUFFERS {
             // Read a few words of each buffer, offset by consumer id so
             // consumers do not read in exactly the same order.
             let buf = (b + id * 7) % BUFFERS;
             for w in [0u64, 5, 11] {
-                ops.push(Op::Read(SHARED_BASE + buf * 64 + w * 4));
+                c.read_at(SHARED_BASE + buf * 64 + w * 4);
             }
-            ops.push(Op::Compute(25));
+            c.compute(25);
         }
-        ops.push(Op::Barrier(round as u32));
-        ops
-    }))
+        c.barrier(round as u32);
+        round + 1 < ROUNDS
+    })
 }
 
 fn main() {

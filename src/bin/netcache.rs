@@ -42,6 +42,12 @@
 //!
 //! Every file this CLI writes (`trace`'s traces, `sweep`'s `--json`
 //! and `--csv`) exits 2 naming the path if it cannot be written.
+//!
+//! `--scale` must lie in (0, 1]. `run`, `compare` and `sweep` validate
+//! every machine they will simulate before the first run: one the engine
+//! cannot simulate (more than 64 nodes, a ring above 16 MB, a node count
+//! the ring's channels do not divide, a star that does not tile) exits 2
+//! with the validator's message and the machine flags.
 
 use std::collections::HashMap;
 use std::io::BufWriter;
@@ -111,6 +117,18 @@ fn parse_count(name: &str, v: &str) -> usize {
     n
 }
 
+/// Parses `--scale`: an input scale lies in (0, 1], where 1 is the
+/// paper's input size (NaN lies nowhere).
+fn parse_scale(v: &str) -> f64 {
+    let s: f64 = parse_num("--scale", v);
+    if s > 0.0 && s <= 1.0 {
+        return s;
+    }
+    fail(format!(
+        "invalid value {v:?} for --scale: must be in (0, 1]"
+    ))
+}
+
 fn parse_arch(name: &str) -> Arch {
     match name.to_lowercase().as_str() {
         "netcache" => Arch::NetCache,
@@ -161,7 +179,7 @@ fn parse_args() -> Args {
                     v.split(',').map(parse_arch).collect()
                 });
             }
-            "--scale" => args.scale = parse_num("--scale", &grab("--scale")),
+            "--scale" => args.scale = parse_scale(&grab("--scale")),
             "--procs" => args.procs = parse_count("--procs", &grab("--procs")),
             "--ring-kb" => {
                 args.ring_kb = Some(parse_num("--ring-kb", &grab("--ring-kb")));
@@ -245,30 +263,47 @@ fn app_by_name(name: &str) -> AppId {
         })
 }
 
-fn config(args: &Args) -> SysConfig {
-    let mut cfg = SysConfig::base(args.arch).with_nodes(args.procs);
-    if let Some(kb) = args.ring_kb {
+/// The machine `run` and `sweep` simulate for `arch`: the base machine
+/// at `--procs` nodes, with a `ring_kb` KB ring if given, on the
+/// `--topology`/`--rings` fabric.
+fn machine(args: &Args, arch: Arch, ring_kb: Option<u64>) -> SysConfig {
+    let mut cfg = SysConfig::base(arch).with_nodes(args.procs);
+    if let Some(kb) = ring_kb {
         cfg = cfg.with_ring_kb(kb);
     }
-    cfg = apply_topology(cfg, args);
-    cfg
-}
-
-/// Applies `--topology`/`--rings` to a config; a combination the fabric
-/// rejects (e.g. a star over a node count that doesn't tile into
-/// clusters) exits 2 with the validator's message.
-fn apply_topology(mut cfg: SysConfig, args: &Args) -> SysConfig {
     if let Some(kind) = args.topology {
         cfg = cfg.with_topology(kind);
     }
     if let Some(r) = args.rings {
         cfg = cfg.with_rings(r);
     }
-    if let Err(e) = cfg.validate() {
-        eprintln!("invalid --topology/--rings configuration: {e}");
-        exit(2)
-    }
     cfg
+}
+
+/// Validates every machine a subcommand is about to simulate, before any
+/// run starts: one the engine cannot simulate (a node count the ring
+/// does not divide, a star that does not tile, more nodes or a larger
+/// ring than the engine supports) exits 2 with the validator's message
+/// and the flags that shaped the machine.
+fn check_machines(args: &Args, cfgs: &[SysConfig]) {
+    let Some(e) = cfgs.iter().find_map(|c| c.validate().err()) else {
+        return;
+    };
+    let mut flags = format!("--procs {}", args.procs);
+    if let Some(kb) = args.ring_kb {
+        flags += &format!(" --ring-kb {kb}");
+    }
+    if let Some(kbs) = &args.ring_kbs {
+        let kbs: Vec<String> = kbs.iter().map(u64::to_string).collect();
+        flags += &format!(" --ring-kbs {}", kbs.join(","));
+    }
+    if let Some(kind) = args.topology {
+        flags += &format!(" --topology {}", kind.name());
+    }
+    if let Some(r) = args.rings {
+        flags += &format!(" --rings {r}");
+    }
+    fail(format!("invalid machine ({flags}): {e}"))
 }
 
 /// Prints `what` and exits 2: the CLI's answer to bad input.
@@ -368,7 +403,8 @@ fn main() {
                     .map(String::as_str)
                     .unwrap_or_else(|| usage()),
             );
-            let cfg = config(&args);
+            let cfg = machine(&args, args.arch, args.ring_kb);
+            check_machines(&args, &[cfg]);
             let wl = Workload::new(app, args.procs).scale(args.scale);
             let r = run_app(&cfg, &wl);
             println!("{}", r.summary());
@@ -393,6 +429,7 @@ fn main() {
                 .iter()
                 .map(|&a| SysConfig::base(a).with_nodes(args.procs))
                 .collect();
+            check_machines(&args, &cfgs);
             let store = open_store(&args);
             let reports =
                 netcache::compare_stored(cfgs.iter(), app, args.procs, args.scale, store.as_ref());
@@ -417,8 +454,22 @@ fn main() {
             } else {
                 AppId::ALL.to_vec()
             };
+            let archs = args.archs.clone().unwrap_or_else(|| Arch::ALL.to_vec());
+            // The machines the grid will build; as in `SweepSpec::ring_kb`,
+            // the ring-size axis varies NetCache only.
+            let cfgs: Vec<SysConfig> = archs
+                .iter()
+                .flat_map(|&arch| match (&args.ring_kbs, arch) {
+                    (Some(kbs), Arch::NetCache) => kbs
+                        .iter()
+                        .map(|&kb| machine(&args, arch, Some(kb)))
+                        .collect(),
+                    _ => vec![machine(&args, arch, None)],
+                })
+                .collect();
+            check_machines(&args, &cfgs);
             let mut spec = SweepSpec::new()
-                .archs(args.archs.clone().unwrap_or_else(|| Arch::ALL.to_vec()))
+                .archs(archs)
                 .apps(apps)
                 .nodes([args.procs])
                 .scale(args.scale);
@@ -426,11 +477,7 @@ fn main() {
                 spec = spec.ring_kb(kbs.iter().copied());
             }
             if args.topology.is_some() || args.rings.is_some() {
-                // Validate the combination on the base machine first so a
-                // bad flag pairing exits 2 here instead of panicking
-                // inside the sweep builder.
-                let cfg = apply_topology(SysConfig::base(args.arch).with_nodes(args.procs), &args);
-                spec = spec.topologies([(cfg.topo.kind, cfg.topo.rings)]);
+                spec = spec.topologies([(cfgs[0].topo.kind, cfgs[0].topo.rings)]);
             }
             let sweep = spec.build();
             let jobs = args.jobs.unwrap_or_else(|| {

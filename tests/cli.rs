@@ -1,5 +1,6 @@
-//! Adversarial CLI tests for the topology flags, `trace`'s output and
-//! `replay`'s trace input.
+//! Adversarial CLI tests for the machine flags (`--procs`, `--ring-kb`,
+//! the topology flags), `--scale`, `trace`'s output and `replay`'s trace
+//! input.
 //!
 //! The CLI's contract for bad input is exit code 2 with a diagnostic
 //! that **names the offending flag or file** — never a panic, never a
@@ -123,6 +124,92 @@ fn valid_topology_runs_clean() {
         "0.02",
     ]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
+}
+
+/// A workload's input scale lies in (0, 1]. Every subcommand that takes
+/// `--scale` rejects anything else while parsing, naming the flag, before
+/// a workload is built.
+#[test]
+fn scale_out_of_range_exits_two_naming_the_flag() {
+    let dir = scratch_dir("scale");
+    for cmd in [
+        &["run", "cg"][..],
+        &["compare", "cg"],
+        &["sweep", "cg"],
+        &["profile", "cg"],
+        &["trace", "cg", path_arg(&dir)],
+    ] {
+        for scale in ["0", "2", "-1", "NaN"] {
+            let args = [cmd, &["--procs", "4", "--scale", scale]].concat();
+            let out = netcache(&args);
+            let err = stderr_of(&out);
+            assert_eq!(out.status.code(), Some(2), "args {args:?}, stderr: {err}");
+            assert!(err.contains("--scale"), "flag not named ({args:?}): {err}");
+        }
+    }
+}
+
+/// The sharer map keeps one bit per node in a `u64`, so a machine of more
+/// than 64 nodes cannot be simulated coherently: validation rejects it,
+/// naming the limit, instead of running it. (The base 32 KB ring's 128
+/// channels do not divide among 65 nodes, so that case drops the ring to
+/// reach the node check.)
+#[test]
+fn more_than_64_nodes_exits_two_naming_the_limit() {
+    for (procs, ring_kb) in [("65", "0"), ("128", "32")] {
+        let args = [
+            "run",
+            "cg",
+            "--procs",
+            procs,
+            "--ring-kb",
+            ring_kb,
+            "--scale",
+            "0.02",
+        ];
+        let out = netcache(&args);
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "args {args:?}, stderr: {err}");
+        assert!(err.contains("--procs"), "flag not named ({args:?}): {err}");
+        assert!(err.contains("64-node limit"), "limit not named: {err}");
+    }
+}
+
+/// Ring sizes past the fixed bound exit 2 naming the flag and the limit.
+/// 100000000 KB would need 12.8 GB of tags and 64 GB of frame state;
+/// 2^54 KB is 2^64 bytes, which a wrapping size computation would turn
+/// into a machine with no ring at all.
+#[test]
+fn oversized_ring_exits_two_naming_the_limit() {
+    for kb in ["100000000", "18014398509481984"] {
+        let out = netcache(&["run", "cg", "--ring-kb", kb, "--scale", "0.02"]);
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "--ring-kb {kb}, stderr: {err}");
+        assert!(err.contains("--ring-kb"), "flag not named ({kb}): {err}");
+        assert!(err.contains("KB limit"), "limit not named ({kb}): {err}");
+    }
+}
+
+/// Every subcommand validates the machines it will build before running
+/// any: 3 nodes do not divide the ring's 128 channels, and the message
+/// is the validator's, naming `--procs` and not flags that were never
+/// given.
+#[test]
+fn indivisible_node_count_exits_two_on_every_subcommand() {
+    for cmd in ["run", "compare", "sweep"] {
+        let out = netcache(&[cmd, "cg", "--procs", "3", "--scale", "0.02"]);
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "{cmd}: stderr: {err}");
+        assert!(err.contains("--procs 3"), "{cmd}: flag not named: {err}");
+        assert!(
+            err.contains("multiple of nodes (3)"),
+            "{cmd}: not the validator's message: {err}"
+        );
+        assert!(
+            !err.contains("--topology"),
+            "{cmd}: blames --topology: {err}"
+        );
+    }
 }
 
 /// `replay` runs processor `p`'s trace on node `p`: at 16 processors a

@@ -148,19 +148,19 @@ fn custom_streams_api_works_end_to_end() {
     // reach of the ring): the leader's misses feed everyone else.
     let streams = (0..4u64)
         .map(|p| {
-            netcache::apps::OpStream::lazy(
-                (0..4000u64)
-                    .flat_map(move |i| {
-                        // Same block sequence on every processor, offset a
-                        // few iterations in time per processor.
-                        let blk = ((i + p * 3) * 7) % 1024;
-                        [
-                            Op::Compute(3),
-                            Op::Read(netcache::mem::addr::SHARED_BASE + blk * 64),
-                        ]
-                    })
-                    .chain([Op::Barrier(0)]),
-            )
+            let ops = (0..4000u64)
+                .flat_map(|i| {
+                    // Same block sequence on every processor, offset a
+                    // few iterations in time per processor.
+                    let blk = ((i + p * 3) * 7) % 1024;
+                    [
+                        Op::Compute(3),
+                        Op::Read(netcache::mem::addr::SHARED_BASE + blk * 64),
+                    ]
+                })
+                .chain([Op::Barrier(0)])
+                .collect();
+            netcache::apps::OpStream::from_ops(ops)
         })
         .collect();
     let r = run_streams(&cfg, streams, &mut EngineScratch::new());
