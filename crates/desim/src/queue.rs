@@ -10,12 +10,20 @@
 //! Events landing within `WHEEL` cycles of the current clock go into a
 //! cycle-granular wheel of `WHEEL` slots (`slot = time % WHEEL`); events
 //! further out go into an overflow binary heap ordered by `(time, seq)`.
-//! Scheduling into the wheel is O(1) (a `VecDeque` push plus one bitmap
-//! bit); popping scans an occupancy bitmap 64 slots per word to find the
-//! next busy slot, and the scan is amortized away by a cached minimum.
-//! In the simulator's steady state nearly every event is a short-delay
-//! channel/memory/resume event, so the heap sees only the rare run-ahead
-//! slice wakeups.
+//! Wheel events live in one pooled arena of cells, recycled through a
+//! free list and linked into one FIFO list per slot. Scheduling into the
+//! wheel is O(1) (take a free cell, append it to the slot's list, set one
+//! bitmap bit); popping scans an occupancy bitmap 64 slots per word to
+//! find the next busy slot, and the scan is amortized away by a cached
+//! minimum. In the simulator's steady state nearly every event is a
+//! short-delay channel/memory/resume event, so the heap sees only the
+//! rare run-ahead slice wakeups.
+//!
+//! The arena holds as many cells as were ever pending at once (about 2
+//! per node in the machine model), wherever on the wheel they fell, so
+//! the wheel's hot state stays a few cache lines however far the clock
+//! advances. A buffer per slot would instead grow every slot the clock
+//! passes and rotate through all of them every `WHEEL` cycles.
 //!
 //! # Why the wheel preserves FIFO order exactly
 //!
@@ -23,16 +31,19 @@
 //! never scheduled in the past, and an event admitted when
 //! `at - now < WHEEL` only gets *closer* to a monotonically advancing
 //! clock — so each slot holds at most one distinct timestamp and a slot's
-//! `VecDeque` append order *is* sequence order. Across the two structures,
-//! eligibility for the wheel at a fixed timestamp `T` is monotone in time:
-//! once `T - now < WHEEL` holds it holds forever. Hence every overflow
-//! entry at `T` was scheduled before (smaller `seq` than) every wheel
-//! entry at `T`, and a pop that prefers the overflow heap on timestamp
-//! ties replays the exact global `(time, seq)` order a single binary heap
-//! would produce. `tests/golden.rs` pins this bit-for-bit.
+//! list, appended at its tail and popped at its head, is in sequence
+//! order. A recycled cell goes back on the free list only after it has
+//! left its slot's list, so it is never linked into two lists at once.
+//! Across the two structures, eligibility for the wheel at a fixed
+//! timestamp `T` is monotone in time: once `T - now < WHEEL` holds it
+//! holds forever. Hence every overflow entry at `T` was scheduled before
+//! (smaller `seq` than) every wheel entry at `T`, and a pop that prefers
+//! the overflow heap on timestamp ties replays the exact global
+//! `(time, seq)` order a single binary heap would produce.
+//! `tests/golden.rs` pins this bit-for-bit.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use crate::time::Time;
 
@@ -42,6 +53,8 @@ use crate::time::Time;
 const WHEEL: usize = 8192;
 const MASK: u64 = WHEEL as u64 - 1;
 const WORDS: usize = WHEEL / 64;
+/// The null cell index: the end of a slot list or of the free list.
+const NIL: u32 = u32::MAX;
 
 /// A timestamped overflow entry. Ordered so the `BinaryHeap` (a max-heap)
 /// pops the *smallest* `(time, seq)` first.
@@ -72,6 +85,21 @@ impl<E> Ord for Entry<E> {
     }
 }
 
+/// One arena cell: a pending wheel event and the next cell of its slot
+/// list, or an empty cell and the next free one.
+struct EventCell<E> {
+    event: Option<E>,
+    next: u32,
+}
+
+/// A slot's FIFO list of cells. Meaningful only while the slot's bitmap
+/// bit is set; an empty slot keeps stale indices.
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    head: u32,
+    tail: u32,
+}
+
 /// A deterministic future-event list.
 ///
 /// ```
@@ -86,9 +114,15 @@ impl<E> Ord for Entry<E> {
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    /// One cycle-granular bucket per slot; all events in a slot share one
+    /// Every wheel event's cell, plus the free cells; grows only when the
+    /// free list is empty, so it never exceeds the most events ever
+    /// pending in the wheel at once.
+    cells: Vec<EventCell<E>>,
+    /// Head of the free list threaded through `cells`.
+    free: u32,
+    /// One list per cycle-granular slot; all events in a slot share one
     /// timestamp, so append order is FIFO order.
-    slots: Box<[VecDeque<E>]>,
+    slots: Box<[Slot]>,
     /// Occupancy bitmap over `slots`, 64 slots per word.
     bits: Box<[u64]>,
     /// Events currently in the wheel.
@@ -115,10 +149,13 @@ impl<E> EventQueue<E> {
     }
 
     /// Creates an empty queue with room for `cap` far-future events before
-    /// the overflow heap reallocates. The wheel itself is fixed-size.
+    /// the overflow heap reallocates. The wheel's slot table is fixed-size
+    /// and its cell arena grows to the peak pending count.
     pub fn with_capacity(cap: usize) -> Self {
         Self {
-            slots: (0..WHEEL).map(|_| VecDeque::new()).collect(),
+            cells: Vec::new(),
+            free: NIL,
+            slots: vec![Slot::default(); WHEEL].into_boxed_slice(),
             bits: vec![0u64; WORDS].into_boxed_slice(),
             wheel_len: 0,
             wheel_min: None,
@@ -129,16 +166,26 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Rewinds the clock and counters to a fresh queue, keeping every
-    /// allocation (slot buffers, bitmap, heap) for the next run.
+    /// Rewinds the clock and counters to a fresh queue, dropping pending
+    /// events and keeping every allocation (cell arena, slot table,
+    /// bitmap, heap) for the next run.
     pub fn reset(&mut self) {
         if self.wheel_len != 0 {
             for (w, word) in self.bits.iter_mut().enumerate() {
                 let mut bs = *word;
                 while bs != 0 {
-                    let b = bs.trailing_zeros() as usize;
+                    let Slot { head, tail } = self.slots[w * 64 + bs.trailing_zeros() as usize];
                     bs &= bs - 1;
-                    self.slots[w * 64 + b].clear();
+                    // Drop the slot's events, then splice its whole list
+                    // onto the free list.
+                    let mut c = head;
+                    while c != NIL {
+                        let cell = &mut self.cells[c as usize];
+                        cell.event = None;
+                        c = cell.next;
+                    }
+                    self.cells[tail as usize].next = self.free;
+                    self.free = head;
                 }
                 *word = 0;
             }
@@ -175,9 +222,17 @@ impl<E> EventQueue<E> {
         // Wrapping keeps an (impossible per the contract above) past event
         // out of the wheel rather than corrupting a live slot.
         if at.wrapping_sub(self.now) < WHEEL as Time {
+            let c = self.alloc(event);
             let slot = (at & MASK) as usize;
-            self.bits[slot / 64] |= 1u64 << (slot % 64);
-            self.slots[slot].push_back(event);
+            let bit = 1u64 << (slot % 64);
+            if self.bits[slot / 64] & bit == 0 {
+                self.bits[slot / 64] |= bit;
+                self.slots[slot].head = c;
+            } else {
+                let tail = self.slots[slot].tail;
+                self.cells[tail as usize].next = c;
+            }
+            self.slots[slot].tail = c;
             self.wheel_len += 1;
             // `None` means "stale — rescan required", NOT "wheel empty":
             // it may only be replaced by a full scan or a refinement of a
@@ -199,10 +254,24 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Schedules `event` `delay` cycles from now.
+    /// Stores `event` in an unlinked cell and returns its index: the head
+    /// of the free list, or a new cell when none is free.
     #[inline]
-    pub fn schedule_in(&mut self, delay: Time, event: E) {
-        self.schedule(self.now + delay, event)
+    fn alloc(&mut self, event: E) -> u32 {
+        let cell = EventCell {
+            event: Some(event),
+            next: NIL,
+        };
+        if self.free == NIL {
+            assert!(self.cells.len() < NIL as usize, "event arena full");
+            self.cells.push(cell);
+            (self.cells.len() - 1) as u32
+        } else {
+            let c = self.free;
+            self.free = self.cells[c as usize].next;
+            self.cells[c as usize] = cell;
+            c
+        }
     }
 
     /// Timestamp of the earliest wheel event, scanning the occupancy
@@ -281,24 +350,21 @@ impl<E> EventQueue<E> {
             debug_assert!(t >= self.now, "time went backwards");
             self.now = t;
             let slot = (t & MASK) as usize;
-            let event = self.slots[slot].pop_front().expect("occupied slot");
+            // Unlink the head cell, then recycle it onto the free list.
+            let c = self.slots[slot].head;
+            let cell = &mut self.cells[c as usize];
+            let event = cell.event.take().expect("occupied slot");
+            let next = cell.next;
+            cell.next = self.free;
+            self.free = c;
             self.wheel_len -= 1;
-            if self.slots[slot].is_empty() {
+            if next == NIL {
                 self.bits[slot / 64] &= !(1u64 << (slot % 64));
                 self.wheel_min = None;
+            } else {
+                self.slots[slot].head = next;
             }
             Some((t, event))
-        }
-    }
-
-    /// Peeks at the timestamp of the next event without popping it.
-    #[inline]
-    pub fn next_time(&self) -> Option<Time> {
-        let wheel_t = self.wheel_min.or_else(|| self.scan_wheel());
-        let over_t = self.over.peek().map(|e| e.time);
-        match (wheel_t, over_t) {
-            (Some(w), Some(o)) => Some(w.min(o)),
-            (w, o) => w.or(o),
         }
     }
 
@@ -324,6 +390,8 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
+    use std::rc::Rc;
 
     #[test]
     fn orders_by_time() {
@@ -355,7 +423,7 @@ mod tests {
         assert_eq!(q.now(), 0);
         q.pop();
         assert_eq!(q.now(), 5);
-        q.schedule_in(1, ());
+        q.schedule(q.now() + 1, ());
         q.pop();
         assert_eq!(q.now(), 6);
         q.pop();
@@ -383,7 +451,8 @@ mod tests {
         q.pop();
         assert_eq!(q.len(), 1);
         assert_eq!(q.scheduled_total(), 2);
-        assert_eq!(q.next_time(), Some(2));
+        assert_eq!(q.pop(), Some((2, 0)));
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -392,9 +461,9 @@ mod tests {
         q.schedule(WHEEL as Time * 3 + 17, 'z');
         q.schedule(4, 'a');
         assert_eq!(q.len(), 2);
-        assert_eq!(q.next_time(), Some(4));
+        assert_eq!(q.over.len(), 1);
         assert_eq!(q.pop(), Some((4, 'a')));
-        assert_eq!(q.next_time(), Some(WHEEL as Time * 3 + 17));
+        assert_eq!(q.len(), 1);
         assert_eq!(q.pop(), Some((WHEEL as Time * 3 + 17, 'z')));
         assert_eq!(q.pop(), None);
     }
@@ -438,58 +507,99 @@ mod tests {
         assert_eq!(q.pop(), None);
     }
 
+    /// Cells on the free list; a cycle fails rather than hangs.
+    fn free_cells<E>(q: &EventQueue<E>) -> usize {
+        let mut n = 0;
+        let mut c = q.free;
+        while c != NIL {
+            n += 1;
+            assert!(n <= q.cells.len(), "free list cycles");
+            c = q.cells[c as usize].next;
+        }
+        n
+    }
+
+    /// One xorshift64 step: the tests' deterministic pseudo-random source.
+    fn xorshift(r: &mut u64) -> u64 {
+        *r ^= *r << 13;
+        *r ^= *r >> 7;
+        *r ^= *r << 17;
+        *r
+    }
+
     #[test]
     fn matches_reference_heap_order() {
         // Differential test: a deterministic pseudo-random interleaving of
-        // schedules and pops must exactly match a (time, seq) sorted
-        // reference, including same-cycle bursts and far-future entries.
+        // schedules and pops must exactly match a reference heap ordered
+        // by (time, id), including same-cycle bursts and far-future
+        // entries. Ids increase in schedule order, so (time, id) order is
+        // the (time, seq) contract. Between rounds the queue is reset with
+        // events pending in many slots and in the overflow heap, which
+        // sends every live cell back to the free list, and the next round
+        // runs against a fresh reference.
         let mut q = EventQueue::new();
-        let mut popped = Vec::new();
         let mut rng: u64 = 0x5EED_CAFE;
-        let step = |r: &mut u64| {
-            *r ^= *r << 13;
-            *r ^= *r >> 7;
-            *r ^= *r << 17;
-            *r
-        };
-        for id in 0..5000u64 {
-            let roll = step(&mut rng);
-            let delay = match roll % 5 {
-                0 => 0,                          // same-cycle burst
-                1 => roll % 64,                  // short latency
-                2 => roll % 2048,                // medium
-                3 => WHEEL as u64 + roll % 4096, // overflow
-                _ => roll % 16,
-            };
-            q.schedule(q.now() + delay, id);
-            if roll % 3 == 0 {
-                if let Some((t, got)) = q.pop() {
-                    popped.push((t, got));
+        let mut id = 0u64;
+        for round in 0..4 {
+            let mut reference = BinaryHeap::new();
+            for _ in 0..5000 {
+                let roll = xorshift(&mut rng);
+                let delay = match roll % 5 {
+                    0 => 0,                          // same-cycle burst
+                    1 => roll % 64,                  // short latency
+                    2 => roll % 2048,                // medium
+                    3 => WHEEL as u64 + roll % 4096, // overflow
+                    _ => roll % 16,
+                };
+                let at = q.now() + delay;
+                q.schedule(at, id);
+                reference.push(Reverse((at, id)));
+                id += 1;
+                if roll.is_multiple_of(3) {
+                    assert_eq!(q.pop(), reference.pop().map(|Reverse(e)| e));
                 }
             }
+            if round < 3 {
+                let busy_slots: u32 = q.bits.iter().map(|w| w.count_ones()).sum();
+                assert!(busy_slots > 100 && !q.over.is_empty());
+                let arena = q.cells.len();
+                q.reset();
+                assert!(q.is_empty());
+                assert_eq!((q.cells.len(), free_cells(&q)), (arena, arena));
+            } else {
+                while let Some(Reverse(e)) = reference.pop() {
+                    assert_eq!(q.pop(), Some(e));
+                }
+                assert_eq!(q.pop(), None);
+            }
         }
-        while let Some((t, got)) = q.pop() {
-            popped.push((t, got));
-        }
-        // Ids increase in schedule (seq) order, so the (time, seq) FIFO
-        // contract means: delivery times nondecreasing, every id delivered
-        // exactly once, and within any single timestamp ids strictly
-        // increasing.
-        assert_eq!(popped.len(), 5000);
-        let mut seen = vec![false; 5000];
-        let mut last: Option<(Time, u64)> = None;
-        for &(t, id) in &popped {
-            if let Some((lt, lid)) = last {
-                assert!(t >= lt, "time regressed");
-                if t == lt {
-                    assert!(id > lid, "FIFO violated at t={t}");
+    }
+
+    #[test]
+    fn arena_never_outgrows_the_pending_count() {
+        // Ten wheel revolutions with at most K events pending, at delays
+        // anywhere up to WHEEL - 1 plus same-slot bursts: popped cells are
+        // recycled, so the arena never holds more than K cells however
+        // many slots the clock sweeps past.
+        const K: usize = 48;
+        let mut q = EventQueue::new();
+        let mut rng: u64 = 0xF00D_F00D;
+        let mut id = 0u64;
+        while q.now() < 10 * WHEEL as Time {
+            while q.len() < K {
+                let roll = xorshift(&mut rng);
+                let at = q.now() + roll % WHEEL as Time;
+                let burst = if roll.is_multiple_of(4) { 8 } else { 1 };
+                for _ in 0..burst.min(K - q.len()) {
+                    q.schedule(at, id);
+                    id += 1;
                 }
             }
-            last = Some((t, id));
-            assert!(!seen[id as usize], "duplicate delivery");
-            seen[id as usize] = true;
+            assert!(q.cells.len() <= K, "arena grew to {}", q.cells.len());
+            q.pop();
         }
-        assert!(seen.iter().all(|&s| s));
+        assert_eq!(q.cells.len(), K);
+        assert!(id > 20 * K as u64);
     }
 
     #[test]
@@ -500,6 +610,7 @@ mod tests {
         }
         q.schedule(WHEEL as Time * 2, 999);
         q.pop();
+        let arena = q.cells.len();
         q.reset();
         assert!(q.is_empty());
         assert_eq!(q.now(), 0);
@@ -509,5 +620,17 @@ mod tests {
         assert_eq!(q.pop(), Some((7, 1)));
         assert_eq!(q.pop(), Some((7, 2)));
         assert_eq!(q.pop(), None);
+        assert_eq!(q.cells.len(), arena);
+    }
+
+    #[test]
+    fn reset_drops_pending_events() {
+        let token = Rc::new(());
+        let mut q = EventQueue::new();
+        for t in [3, 3, 9, WHEEL as Time * 2] {
+            q.schedule(t, Rc::clone(&token));
+        }
+        q.reset();
+        assert_eq!(Rc::strong_count(&token), 1);
     }
 }
