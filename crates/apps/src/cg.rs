@@ -11,7 +11,7 @@
 //!
 //! Paper reuse class: **Moderate**.
 
-use crate::gen::{chunked, partition, stream_rng, Alloc, ELEM8};
+use crate::gen::{chunked, group, partition, stream_rng, Alloc, ELEM8};
 use crate::ops::{Nest, OpStream};
 use crate::workload::Workload;
 use memsys::AddressMap;
@@ -47,6 +47,10 @@ const APP_TAG: u64 = 0xC6;
 const LOCK_ALPHA: u32 = 0;
 const LOCK_RHO: u32 = 1;
 
+/// Spmv rows per phase: 4 × 221 macro-ops at the paper's 55 non-zeros
+/// per row, 28 KiB of refill.
+const ROWS_PER_PHASE: u64 = 4;
+
 pub(crate) fn streams(w: &Workload, map: &AddressMap) -> Vec<OpStream> {
     let prm = Params::scaled(w.scale);
     let n = prm.n;
@@ -67,29 +71,40 @@ pub(crate) fn streams(w: &Workload, map: &AddressMap) -> Vec<OpStream> {
     (0..procs)
         .map(|me| {
             let rows = partition(n, procs, me);
-            chunked(move |iter, c| {
+            // Phases per iteration: the spmv's row groups, then the
+            // reductions and vector updates. A row ends with a write, so
+            // no compute coalesces across a cut.
+            let groups = (rows.end - rows.start).div_ceil(ROWS_PER_PHASE);
+            let mut rng = stream_rng(seed, APP_TAG, me); // re-seeded per iteration
+            chunked(move |phase, c| {
+                let (iter, step) = (phase / (groups + 1), phase % (groups + 1));
                 if iter >= prm.iters {
                     return false;
                 }
-                // The sparsity pattern must be identical every iteration:
-                // re-seed per processor, not per phase.
-                let mut rng = stream_rng(seed, APP_TAG, me);
+                if step < groups {
+                    // The sparsity pattern must be identical every
+                    // iteration: re-seed per processor, not per phase.
+                    if step == 0 {
+                        rng = stream_rng(seed, APP_TAG, me);
+                    }
+                    // q = A * p over my rows. The p-gather jumps randomly,
+                    // so the spmv stays scalar (the index/value streams
+                    // ride along in program order).
+                    for row in group(&rows, ROWS_PER_PHASE, step) {
+                        for j in 0..per_row {
+                            let idx = row * per_row + j;
+                            c.read(a_col, idx, 4); // column index
+                            c.read(a_val, idx, ELEM8); // matrix value
+                            let col = rng.below(n); // gather target
+                            c.read(p_vec, col, ELEM8);
+                            c.compute(8); // index arithmetic + FMA + loop
+                        }
+                        c.write(q_vec, row, ELEM8);
+                    }
+                    return true;
+                }
                 let bar = (iter as u32) * 4;
                 let (r0, nrows) = (rows.start, rows.end - rows.start);
-                // q = A * p over my rows. The p-gather jumps randomly, so
-                // the spmv stays scalar (the index/value streams ride
-                // along in program order).
-                for row in rows.clone() {
-                    for j in 0..per_row {
-                        let idx = row * per_row + j;
-                        c.read(a_col, idx, 4); // column index
-                        c.read(a_val, idx, ELEM8); // matrix value
-                        let col = rng.below(n); // gather target
-                        c.read(p_vec, col, ELEM8);
-                        c.compute(8); // index arithmetic + FMA + loop
-                    }
-                    c.write(q_vec, row, ELEM8);
-                }
                 c.barrier(bar);
                 // alpha = p . q (local partial sum, then lock-protected
                 // accumulation).

@@ -12,7 +12,7 @@
 //!
 //! Paper reuse class: **Low** (<32% shared-cache hit rate).
 
-use crate::gen::{chunked, partition, stream_rng, Alloc, ELEM, ELEM8};
+use crate::gen::{chunked, group, partition, stream_rng, Alloc, ELEM, ELEM8};
 use crate::ops::OpStream;
 use crate::workload::Workload;
 use memsys::AddressMap;
@@ -43,6 +43,10 @@ impl Params {
 }
 
 const APP_TAG: u64 = 0xE3;
+
+/// Graph nodes per phase: 32 × 26 macro-ops at degree 6, 26 KiB of
+/// refill.
+const NODES_PER_PHASE: u64 = 32;
 
 pub(crate) fn streams(w: &Workload, map: &AddressMap) -> Vec<OpStream> {
     let prm = Params::scaled(w.scale);
@@ -75,38 +79,51 @@ pub(crate) fn streams(w: &Workload, map: &AddressMap) -> Vec<OpStream> {
             let mine = partition(n, procs, me);
             // My own shared edge region.
             let edges = edge_regions[me];
-            chunked(move |iter, c| {
+            // Phases per iteration: the E half's node groups, then the H
+            // half's; each half's last group carries its barrier. A node
+            // ends with a write, so no compute coalesces across a cut.
+            let groups = (mine.end - mine.start).div_ceil(NODES_PER_PHASE).max(1);
+            let mut rng = stream_rng(seed, APP_TAG, me); // re-seeded per iteration
+            let mut edge_cursor = 0u64;
+            chunked(move |phase, c| {
+                let (iter, step) = (phase / (2 * groups), phase % (2 * groups));
                 if iter >= prm.iters {
                     return false;
                 }
-                // Graph structure must be identical across iterations.
-                let mut rng = stream_rng(seed, APP_TAG, me);
-                let mut edge_cursor = 0u64;
-                // Phase 0: E nodes read H neighbors; phase 1: vice versa.
-                for (phase, (vals_mine, vals_other)) in
-                    [(e_vals, h_vals), (h_vals, e_vals)].iter().enumerate()
-                {
-                    for _node in mine.clone() {
-                        for _d in 0..prm.degree {
-                            // Read the edge record (private: index+weight).
-                            c.read(edges, edge_cursor, ELEM8);
-                            c.read(edges, edge_cursor + 1, ELEM8);
-                            edge_cursor += 2;
-                            // Pick the neighbor: 95% inside my partition of
-                            // the other side, 5% uniformly remote.
-                            let nb = if rng.chance(prm.remote_frac) {
-                                rng.below(n)
-                            } else {
-                                rng.range(mine.start, mine.end)
-                            };
-                            c.read(*vals_other, nb, ELEM);
-                            c.compute(13); // weight multiply-accumulate + pointer arithmetic
-                        }
-                        let own = rng.range(mine.start, mine.end);
-                        c.compute(2);
-                        c.write(*vals_mine, own, ELEM);
+                if step == 0 {
+                    // Graph structure must be identical across iterations.
+                    rng = stream_rng(seed, APP_TAG, me);
+                    edge_cursor = 0;
+                }
+                // Half 0: E nodes read H neighbors; half 1: vice versa.
+                let (half, g) = (step / groups, step % groups);
+                let (vals_mine, vals_other) = if half == 0 {
+                    (e_vals, h_vals)
+                } else {
+                    (h_vals, e_vals)
+                };
+                for _node in group(&mine, NODES_PER_PHASE, g) {
+                    for _d in 0..prm.degree {
+                        // Read the edge record (private: index+weight).
+                        c.read(edges, edge_cursor, ELEM8);
+                        c.read(edges, edge_cursor + 1, ELEM8);
+                        edge_cursor += 2;
+                        // Pick the neighbor: 95% inside my partition of
+                        // the other side, 5% uniformly remote.
+                        let nb = if rng.chance(prm.remote_frac) {
+                            rng.below(n)
+                        } else {
+                            rng.range(mine.start, mine.end)
+                        };
+                        c.read(vals_other, nb, ELEM);
+                        c.compute(13); // weight multiply-accumulate + pointer arithmetic
                     }
-                    c.barrier((iter * 2 + phase as u64) as u32);
+                    let own = rng.range(mine.start, mine.end);
+                    c.compute(2);
+                    c.write(vals_mine, own, ELEM);
+                }
+                if g + 1 == groups {
+                    c.barrier((iter * 2 + half) as u32);
                 }
                 true
             })

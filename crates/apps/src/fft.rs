@@ -9,13 +9,21 @@
 //! Paper reuse class: **Low** (<32% shared-cache hit rate; one of the
 //! three apps where NetCache ≈ LambdaNet).
 
-use crate::gen::{chunked, partition, Alloc, Chunk};
+use crate::gen::{chunked, group, partition, Alloc, Chunk};
 use crate::ops::{Nest, OpStream};
 use crate::workload::Workload;
 use memsys::{Addr, AddressMap};
+use std::ops::Range;
 
 /// Complex-double element size.
 const CPLX: u64 = 16;
+
+/// Transpose patches per phase: 64 nests, 22 KiB of refill.
+const PATCHES_PER_PHASE: u64 = 64;
+
+/// Row FFTs per phase: 4 rows of at most 13 nests (m = 128), 17 KiB of
+/// refill.
+const ROWS_PER_PHASE: u64 = 4;
 
 /// Input parameters.
 #[derive(Debug, Clone, Copy)]
@@ -72,37 +80,52 @@ fn row_fft(c: &mut Chunk, base: Addr, m: u64, row: u64) {
     }
 }
 
-/// Transpose: I read *columns* of `src` (striding across every other
-/// processor's rows) and write my rows of `dst`. Patch-blocked and
-/// **staggered** exactly as SPLASH-2 does it: processor `me` walks the
-/// source patches starting at `me + 1`, so at any instant the `p`
-/// processors are reading from `p` different sources instead of all
-/// stampeding the same rows.
-fn transpose(
+/// The source rows of transpose patch `k` for processor `me`.
+/// Patch-blocked and **staggered** exactly as SPLASH-2 does it: processor
+/// `me` walks the source patches starting at `me + 1`, so at any instant
+/// the `p` processors are reading from `p` different sources instead of
+/// all stampeding the same rows.
+fn source_patch(m: u64, me: usize, procs: usize, k: u64) -> Range<u64> {
+    partition(m, procs, (me + 1 + k as usize) % procs)
+}
+
+/// Row `r` of a transpose patch: I read a *column* of `src` (striding
+/// across the source processor's rows `src_rows`) and write those
+/// columns of my row of `dst`.
+fn transpose(c: &mut Chunk, src: Addr, dst: Addr, m: u64, src_rows: Range<u64>, r: u64) {
+    let (c0, ncols) = (src_rows.start, src_rows.end - src_rows.start);
+    if ncols == 0 {
+        return;
+    }
+    // Column read strides a whole source row per step.
+    let mut body = Nest::new(ncols);
+    body.read(src + (c0 * m + r) * CPLX, m * CPLX)
+        .compute(4)
+        .write(dst + (r * m + c0) * CPLX, CPLX);
+    c.nest(body);
+}
+
+/// [`transpose`] with the twiddle multiply folded in: row `r` of `tw`
+/// scales the column of `src` on its way into `dst`.
+fn twiddle_transpose(
     c: &mut Chunk,
+    tw: Addr,
     src: Addr,
     dst: Addr,
     m: u64,
-    me: usize,
-    procs: usize,
-    rows: std::ops::Range<u64>,
+    src_rows: Range<u64>,
+    r: u64,
 ) {
-    for k in 0..procs {
-        let sp = (me + 1 + k) % procs;
-        let src_rows = partition(m, procs, sp);
-        let (c0, ncols) = (src_rows.start, src_rows.end - src_rows.start);
-        for r in rows.clone() {
-            if ncols == 0 {
-                continue;
-            }
-            // Column read strides a whole source row per step.
-            let mut body = Nest::new(ncols);
-            body.read(src + (c0 * m + r) * CPLX, m * CPLX)
-                .compute(4)
-                .write(dst + (r * m + c0) * CPLX, CPLX);
-            c.nest(body);
-        }
+    let (c0, ncols) = (src_rows.start, src_rows.end - src_rows.start);
+    if ncols == 0 {
+        return;
     }
+    let mut body = Nest::new(ncols);
+    body.read(tw + (r * m + c0) * CPLX, CPLX)
+        .read(src + (c0 * m + r) * CPLX, m * CPLX)
+        .compute(10)
+        .write(dst + (r * m + c0) * CPLX, CPLX);
+    c.nest(body);
 }
 
 pub(crate) fn streams(w: &Workload, map: &AddressMap) -> Vec<OpStream> {
@@ -117,48 +140,43 @@ pub(crate) fn streams(w: &Workload, map: &AddressMap) -> Vec<OpStream> {
     (0..procs)
         .map(move |me| {
             let rows = partition(m, procs, me);
-            chunked(move |phase, c| {
-                match phase {
-                    // Step 1: transpose x -> y.
-                    0 => transpose(c, x, y, m, me, procs, rows.clone()),
-                    // Step 2: FFT each of my rows of y.
-                    1 => {
-                        for r in rows.clone() {
-                            row_fft(c, y, m, r);
-                        }
+            let nrows = rows.end - rows.start;
+            // Cursor: the step (0..5, also its barrier id) and the step's
+            // next group, the last of which carries the barrier. Every
+            // nest ends with a write, so no compute coalesces across a
+            // cut.
+            let (mut step, mut g) = (0, 0);
+            chunked(move |_, c| {
+                // The transposes (steps 0, 2, 4) walk (source patch, row)
+                // pairs; the row FFTs (steps 1, 3) walk my rows.
+                let (units, per) = if step % 2 == 0 {
+                    (procs as u64 * nrows, PATCHES_PER_PHASE)
+                } else {
+                    (nrows, ROWS_PER_PHASE)
+                };
+                for u in group(&(0..units), per, g) {
+                    if step % 2 == 1 {
+                        // FFT each of my rows of y, then of x.
+                        row_fft(c, if step == 1 { y } else { x }, m, rows.start + u);
+                        continue;
                     }
-                    // Step 3: twiddle multiply + transpose y -> x
-                    // (staggered like the plain transposes).
-                    2 => {
-                        for k in 0..procs {
-                            let sp = (me + 1 + k) % procs;
-                            let cols = partition(m, procs, sp);
-                            let (c0, ncols) = (cols.start, cols.end - cols.start);
-                            for r in rows.clone() {
-                                if ncols == 0 {
-                                    continue;
-                                }
-                                let mut body = Nest::new(ncols);
-                                body.read(twiddle + (r * m + c0) * CPLX, CPLX)
-                                    .read(y + (c0 * m + r) * CPLX, m * CPLX)
-                                    .compute(10)
-                                    .write(x + (r * m + c0) * CPLX, CPLX);
-                                c.nest(body);
-                            }
-                        }
+                    let src_rows = source_patch(m, me, procs, u / nrows);
+                    let r = rows.start + u % nrows;
+                    if step == 2 {
+                        // Twiddle multiply + transpose y -> x.
+                        twiddle_transpose(c, twiddle, y, x, m, src_rows, r);
+                    } else {
+                        // Transpose x -> y, first and last.
+                        transpose(c, x, y, m, src_rows, r);
                     }
-                    // Step 4: FFT each of my rows of x.
-                    3 => {
-                        for r in rows.clone() {
-                            row_fft(c, x, m, r);
-                        }
-                    }
-                    // Step 5: final transpose x -> y.
-                    4 => transpose(c, x, y, m, me, procs, rows.clone()),
-                    _ => return false,
                 }
-                c.barrier(phase as u32);
-                true
+                g += 1;
+                if g >= units.div_ceil(per) {
+                    c.barrier(step);
+                    step += 1;
+                    g = 0;
+                }
+                step < 5
             })
         })
         .collect()
@@ -198,7 +216,7 @@ mod tests {
     fn transpose_reads_columns_staggered() {
         let mut c = Chunk::default();
         // 1 processor owning all rows degenerates to a plain transpose.
-        transpose(&mut c, 0, 1 << 30, 8, 0, 1, 2..3);
+        transpose(&mut c, 0, 1 << 30, 8, source_patch(8, 0, 1, 0), 2);
         let reads: Vec<u64> = c
             .into_macros()
             .iter()
@@ -215,7 +233,7 @@ mod tests {
 
         // With 4 processors, processor 0 starts on processor 1's patch.
         let mut c = Chunk::default();
-        transpose(&mut c, 0, 1 << 30, 8, 0, 4, 0..2);
+        transpose(&mut c, 0, 1 << 30, 8, source_patch(8, 0, 4, 0), 0);
         let first = c
             .into_macros()
             .iter()

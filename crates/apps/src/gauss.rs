@@ -35,6 +35,9 @@ impl Params {
 
 const COMPUTE_PER_ELEM: u32 = 4;
 
+/// Rows eliminated per phase: 64 × (2 ops + 1 nest), 26 KiB of refill.
+const ROWS_PER_PHASE: u64 = 64;
+
 pub(crate) fn streams(w: &Workload, map: &AddressMap) -> Vec<OpStream> {
     let prm = Params::scaled(w.scale);
     let n = prm.n;
@@ -45,23 +48,38 @@ pub(crate) fn streams(w: &Workload, map: &AddressMap) -> Vec<OpStream> {
     (0..w.procs)
         .map(|me| {
             let me64 = me as u64;
-            chunked(move |k, c| {
+            // Cursor: pivot step k, and the next of my rows to eliminate
+            // (`None` until the pivot row is out). Each phase takes up to
+            // ROWS_PER_PHASE rows; a row opens with a read, so no compute
+            // coalesces across a cut.
+            let mut k = 0;
+            let mut next_row = None;
+            chunked(move |_, c| {
                 if k >= n - 1 {
                     return false;
                 }
-                // Owner normalizes the pivot row (divide by a[k][k]).
-                if k % procs == me64 {
-                    c.read(a, k * n + k, ELEM);
-                    let mut norm = Nest::new(n - k);
-                    norm.read(a + (k * n + k) * ELEM, ELEM)
-                        .compute(COMPUTE_PER_ELEM)
-                        .write(a + (k * n + k) * ELEM, ELEM);
-                    c.nest(norm);
-                }
-                c.barrier(2 * k as u32);
-                // Everyone eliminates their rows below k.
-                let mut r = k + 1 + ((me64 + procs - (k + 1) % procs) % procs);
-                while r < n {
+                let mut r = match next_row {
+                    Some(r) => r,
+                    None => {
+                        // Owner normalizes the pivot row (divide by
+                        // a[k][k]).
+                        if k % procs == me64 {
+                            c.read(a, k * n + k, ELEM);
+                            let mut norm = Nest::new(n - k);
+                            norm.read(a + (k * n + k) * ELEM, ELEM)
+                                .compute(COMPUTE_PER_ELEM)
+                                .write(a + (k * n + k) * ELEM, ELEM);
+                            c.nest(norm);
+                        }
+                        c.barrier(2 * k as u32);
+                        // Everyone eliminates their rows below k.
+                        k + 1 + ((me64 + procs - (k + 1) % procs) % procs)
+                    }
+                };
+                for _ in 0..ROWS_PER_PHASE {
+                    if r >= n {
+                        break;
+                    }
                     c.read(a, r * n + k, ELEM); // multiplier
                     c.compute(COMPUTE_PER_ELEM);
                     let mut elim = Nest::new(n - k - 1);
@@ -72,7 +90,13 @@ pub(crate) fn streams(w: &Workload, map: &AddressMap) -> Vec<OpStream> {
                     c.nest(elim);
                     r += procs;
                 }
-                c.barrier(2 * k as u32 + 1);
+                if r < n {
+                    next_row = Some(r);
+                } else {
+                    c.barrier(2 * k as u32 + 1);
+                    k += 1;
+                    next_row = None;
+                }
                 true
             })
         })

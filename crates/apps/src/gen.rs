@@ -4,17 +4,29 @@
 //!
 //! * [`Alloc`] — a bump allocator for the shared region and each node's
 //!   private region, so every app lays out its arrays the same way.
-//! * [`Chunk`] — a builder for one phase's worth of operations (one outer
-//!   iteration, one pivot step, ...). Regular loops go in compressed as
-//!   [`MacroOp`] runs and [`Nest`]s; scalar pushes cover sync and
-//!   irregular references. Adjacent [`Op::Compute`]s coalesce so chunk
-//!   sizes stay proportional to the number of *references*, and the
-//!   builder rejects pushes whose scalar expansion would have coalesced
-//!   across a macro boundary (the port must keep such seams scalar).
+//! * [`Chunk`] — a builder for one phase of operations: a bounded slice
+//!   of the program (a group of keys, rows, blocks or pixels), not a
+//!   whole iteration. Regular loops go in compressed as [`MacroOp`] runs
+//!   and [`Nest`]s; scalar pushes cover sync and irregular references.
+//!   Adjacent [`Op::Compute`]s coalesce so chunk sizes stay proportional
+//!   to the number of *references*, and the builder rejects pushes whose
+//!   scalar expansion would have coalesced across a macro boundary (the
+//!   port must keep such seams scalar).
 //! * [`chunked`] — turns a `FnMut(phase, &mut Chunk) -> bool` generator
 //!   into a lazy [`OpStream`]. Fill-in-place: the stream's refill buffer
-//!   is handed to the closure through the chunk, so paper-sized inputs
-//!   never materialize a full trace and refills allocate nothing.
+//!   is handed to the closure through the chunk, so refills allocate
+//!   nothing once the buffer has grown to the largest phase.
+//!
+//! **Bounded refills.** Every phase fits in [`REFILL_BYTES`] (32 KiB) of
+//! macro-op storage, measured by [`refill_bytes`], at any processor count
+//! and input scale: a 64-node machine holds at most 2 MiB of stream
+//! buffers, and a paper-scale input costs no more memory than a small
+//! one. Generators meet the budget by cutting their loops into groups
+//! ([`group`]) and carrying the loop cursor and RNG across calls. A cut
+//! may fall only where no `Compute` would coalesce across it; [`chunked`]
+//! panics on a phase that opens with a `Compute` right after one that
+//! ended with one, so where a generator cuts can never change its op
+//! stream.
 
 use crate::ops::{BarrierId, LockId, MacroOp, MacroSource, Nest, Op, OpStream};
 use memsys::addr::{self, Addr, AddressMap};
@@ -64,6 +76,16 @@ impl Alloc {
     }
 }
 
+/// The macro-op storage one refill may hold, per processor: 32 KiB.
+pub const REFILL_BYTES: usize = 32 << 10;
+
+/// The storage `ops` occupies against [`REFILL_BYTES`]: each macro-op's
+/// slot plus the boxed body of each [`Nest`].
+pub fn refill_bytes(ops: &[MacroOp]) -> usize {
+    let nests = ops.iter().filter(|m| matches!(m, MacroOp::Nest(_))).count();
+    std::mem::size_of_val(ops) + nests * std::mem::size_of::<Nest>()
+}
+
 /// The first op a macro-op expands to, if any (seam checks).
 fn first_op(m: &MacroOp) -> Option<Op> {
     m.expand().next()
@@ -91,7 +113,8 @@ fn last_op(m: &MacroOp) -> Option<Op> {
     }
 }
 
-/// One phase's operations, with compute-coalescing.
+/// One phase's operations (at most [`REFILL_BYTES`] of storage), with
+/// compute-coalescing.
 #[derive(Debug, Default, Clone)]
 pub struct Chunk {
     ops: Vec<MacroOp>,
@@ -270,10 +293,20 @@ impl Chunk {
 /// with phase 0, 1, 2, ... and a chunk to fill; it returns `false` after
 /// the final phase (ops pushed on that call still count).
 ///
-/// The generator feeds the stream's refill buffer a whole phase at a
-/// time through the chunk — the buffer is moved in and out, so refills
+/// The generator feeds the stream's refill buffer one phase at a time
+/// through the chunk — the buffer is moved in and out, so refills
 /// recycle one allocation for the stream's whole life and per-op
-/// iteration never touches the closure.
+/// iteration never touches the closure. Keep each phase within
+/// [`REFILL_BYTES`]: the buffer grows to the largest phase and keeps
+/// that capacity. A phase is a unit of storage, not of the program: a
+/// generator carries its loop cursor (and RNG) in the closure and
+/// resumes where the previous phase stopped.
+///
+/// # Panics
+/// If a phase opens with a `Compute` while the previous non-empty phase
+/// ended with one: built as one chunk, the two would have coalesced, so
+/// a generator may cut its phases only where the op stream is the same
+/// either way.
 pub fn chunked<F>(next: F) -> OpStream
 where
     F: FnMut(u64, &mut Chunk) -> bool + Send + 'static,
@@ -282,6 +315,8 @@ where
         next: F,
         phase: u64,
         done: bool,
+        /// The last op emitted so far is a `Compute`.
+        tail_compute: bool,
     }
     impl<F: FnMut(u64, &mut Chunk) -> bool + Send> MacroSource for Phases<F> {
         fn next_chunk(&mut self, buf: &mut Vec<MacroOp>) -> bool {
@@ -294,6 +329,14 @@ where
             let more = (self.next)(self.phase, &mut c);
             self.phase += 1;
             *buf = c.ops;
+            if let (Some(first), Some(last)) = (buf.first(), buf.last()) {
+                assert!(
+                    !(self.tail_compute && matches!(first_op(first), Some(Op::Compute(_)))),
+                    "phase {} opens with Compute after Compute: seam would coalesce",
+                    self.phase - 1
+                );
+                self.tail_compute = matches!(last_op(last), Some(Op::Compute(_)));
+            }
             if !more {
                 self.done = true;
                 return !buf.is_empty();
@@ -305,7 +348,15 @@ where
         next,
         phase: 0,
         done: false,
+        tail_compute: false,
     })
+}
+
+/// The `g`-th group of `per` consecutive items of `items` (empty past
+/// its end): how generators cut a loop into bounded phases.
+pub fn group(items: &std::ops::Range<u64>, per: u64, g: u64) -> std::ops::Range<u64> {
+    let start = (items.start + g * per).min(items.end);
+    start..(start + per).min(items.end)
 }
 
 /// Contiguous 1-D partition: the half-open range of `n` items owned by
@@ -417,6 +468,18 @@ mod tests {
         });
         let ops: Vec<Op> = s.collect();
         assert_eq!(ops, vec![Op::Read(0), Op::Read(1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "seam would coalesce")]
+    fn phase_opening_with_compute_after_compute_is_rejected() {
+        // As one chunk these would be a single Compute(4); split, the
+        // stream would carry two Compute(2)s.
+        let s = chunked(|phase, c| {
+            c.compute(2);
+            phase < 1
+        });
+        let _ = s.count();
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //! exactly the property that makes trace-style generation faithful for
 //! these data-parallel codes.
 //!
-//! Streams are produced in per-phase chunks (one outer iteration at a
-//! time), so even paper-sized inputs never materialize whole traces.
+//! Streams are produced in bounded chunks of at most 32 KiB per
+//! processor (`gen::REFILL_BYTES`), so even paper-sized inputs never
+//! materialize more than one small slice of a trace at a time.
 //!
 //! See each module's docs for the modeled algorithm and its expected
 //! shared-cache reuse class (paper Fig. 7): **Low** (Em3d, FFT, Radix),

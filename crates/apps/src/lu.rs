@@ -45,6 +45,9 @@ impl Params {
 
 const COMPUTE_PER_ELEM: u32 = 9;
 
+/// Blocks per phase: 4 blocks of 16 row nests, 22 KiB of refill.
+const BLOCKS_PER_PHASE: u64 = 4;
+
 /// Owner of block (i, j): 2-D scatter.
 #[inline]
 fn owner(i: u64, j: u64, nb: u64, procs: u64) -> u64 {
@@ -67,59 +70,80 @@ pub(crate) fn streams(w: &Workload, map: &AddressMap) -> Vec<OpStream> {
     (0..w.procs)
         .map(|me| {
             let me64 = me as u64;
-            chunked(move |k, c| {
+            // Cursor: step k, its stage (0 diagonal, 1 perimeter, 2
+            // interior), and the stage's next candidate block. A phase
+            // takes up to BLOCKS_PER_PHASE of my blocks; every block row
+            // nest ends with a write, so no compute coalesces across a cut.
+            let mut k = 0;
+            let mut stage = 0;
+            let mut next = 0u64;
+            chunked(move |_, c| {
                 if k >= nb {
                     return false;
                 }
-                // Phase 1: factor diagonal block (k,k).
-                if owner(k, k, nb, procs) == me64 {
+                if stage == 0 {
+                    // Phase 1: factor diagonal block (k,k).
+                    if owner(k, k, nb, procs) == me64 {
+                        for x in 0..b {
+                            let mut body = Nest::new(b);
+                            body.read(elem_addr(a, n, b, k, k, x, 0), ELEM)
+                                .compute(COMPUTE_PER_ELEM)
+                                .write(elem_addr(a, n, b, k, k, x, 0), ELEM);
+                            c.nest(body);
+                        }
+                    }
+                    c.barrier(3 * k as u32);
+                    stage = 1;
+                    return true;
+                }
+                // Phase 2: perimeter blocks (t,k) and (k,t) for t past k
+                // read the diag; phase 3: interior blocks (i,j) read the
+                // perimeter blocks (i,k) and (k,j).
+                let m = nb - k - 1;
+                let total = if stage == 1 { 2 * m } else { m * m };
+                let mut taken = 0;
+                while next < total && taken < BLOCKS_PER_PHASE {
+                    let (bi, bj) = if stage == 1 {
+                        let t = k + 1 + next / 2;
+                        if next.is_multiple_of(2) {
+                            (t, k)
+                        } else {
+                            (k, t)
+                        }
+                    } else {
+                        (k + 1 + next / m, k + 1 + next % m)
+                    };
+                    next += 1;
+                    if owner(bi, bj, nb, procs) != me64 {
+                        continue;
+                    }
+                    taken += 1;
                     for x in 0..b {
                         let mut body = Nest::new(b);
-                        body.read(elem_addr(a, n, b, k, k, x, 0), ELEM)
-                            .compute(COMPUTE_PER_ELEM)
-                            .write(elem_addr(a, n, b, k, k, x, 0), ELEM);
+                        if stage == 1 {
+                            // Read the diagonal block (hot) + own elem;
+                            // the diag is walked transposed, so its inner
+                            // stride is a whole matrix row.
+                            body.read(elem_addr(a, n, b, k, k, 0, x), n * ELEM)
+                                .read(elem_addr(a, n, b, bi, bj, x, 0), ELEM);
+                        } else {
+                            body.read(elem_addr(a, n, b, bi, k, x, 0), ELEM) // L block (hot)
+                                .read(elem_addr(a, n, b, k, bj, x, 0), ELEM) // U block (hot)
+                                .read(elem_addr(a, n, b, bi, bj, x, 0), ELEM);
+                        }
+                        body.compute(COMPUTE_PER_ELEM)
+                            .write(elem_addr(a, n, b, bi, bj, x, 0), ELEM);
                         c.nest(body);
                     }
                 }
-                c.barrier(3 * k as u32);
-                // Phase 2: perimeter blocks (i,k) and (k,j) read the diag.
-                for t in k + 1..nb {
-                    for &(bi, bj) in &[(t, k), (k, t)] {
-                        if owner(bi, bj, nb, procs) != me64 {
-                            continue;
-                        }
-                        for x in 0..b {
-                            // read the diagonal block (hot) + own elem;
-                            // the diag is walked transposed, so its inner
-                            // stride is a whole matrix row.
-                            let mut body = Nest::new(b);
-                            body.read(elem_addr(a, n, b, k, k, 0, x), n * ELEM)
-                                .read(elem_addr(a, n, b, bi, bj, x, 0), ELEM)
-                                .compute(COMPUTE_PER_ELEM)
-                                .write(elem_addr(a, n, b, bi, bj, x, 0), ELEM);
-                            c.nest(body);
-                        }
+                if next == total {
+                    c.barrier(3 * k as u32 + stage);
+                    next = 0;
+                    stage = (stage + 1) % 3;
+                    if stage == 0 {
+                        k += 1;
                     }
                 }
-                c.barrier(3 * k as u32 + 1);
-                // Phase 3: interior blocks (i,j) read perimeter (i,k),(k,j).
-                for bi in k + 1..nb {
-                    for bj in k + 1..nb {
-                        if owner(bi, bj, nb, procs) != me64 {
-                            continue;
-                        }
-                        for x in 0..b {
-                            let mut body = Nest::new(b);
-                            body.read(elem_addr(a, n, b, bi, k, x, 0), ELEM) // L block (hot)
-                                .read(elem_addr(a, n, b, k, bj, x, 0), ELEM) // U block (hot)
-                                .read(elem_addr(a, n, b, bi, bj, x, 0), ELEM)
-                                .compute(COMPUTE_PER_ELEM)
-                                .write(elem_addr(a, n, b, bi, bj, x, 0), ELEM);
-                            c.nest(body);
-                        }
-                    }
-                }
-                c.barrier(3 * k as u32 + 2);
                 true
             })
         })

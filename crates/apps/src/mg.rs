@@ -11,7 +11,7 @@
 //!
 //! Paper reuse class: **High** (~70% shared-cache hit rate).
 
-use crate::gen::{chunked, partition, Alloc, Chunk, ELEM};
+use crate::gen::{chunked, group, partition, Alloc, Chunk, ELEM};
 use crate::ops::{Nest, OpStream};
 use crate::workload::Workload;
 use memsys::{Addr, AddressMap};
@@ -77,19 +77,23 @@ impl Level {
     }
 }
 
-/// 7-point smoothing sweep over this processor's z-planes of level `lv`.
+/// Rows per phase: 12 rows of at most 72 macro-ops (a finest-level
+/// prolongation row), 27 KiB of refill.
+const ROWS_PER_PHASE: u64 = 12;
+
+/// One row (y, z) of a 7-point smoothing sweep over level `lv`.
 ///
-/// The interior of each x-row is one affine nest; the clamped boundary
+/// The interior of the x-row is one affine nest; the clamped boundary
 /// points (x = 0 and x = nx-1) stay scalar.
-fn smooth(c: &mut Chunk, lv: &Level, zs: std::ops::Range<u64>) {
+fn smooth_row(c: &mut Chunk, lv: &Level, y: u64, z: u64) {
+    let ym = y.saturating_sub(1);
+    let yp = (y + 1).min(lv.ny - 1);
+    let zm = z.saturating_sub(1);
+    let zp = (z + 1).min(lv.nz - 1);
     // One point, boundary-clamped (the scalar body of the original loop).
-    let point = |c: &mut Chunk, x: u64, y: u64, z: u64| {
+    let point = |c: &mut Chunk, x: u64| {
         let xm = x.saturating_sub(1);
         let xp = (x + 1).min(lv.nx - 1);
-        let ym = y.saturating_sub(1);
-        let yp = (y + 1).min(lv.ny - 1);
-        let zm = z.saturating_sub(1);
-        let zp = (z + 1).min(lv.nz - 1);
         c.read_at(lv.at(lv.u, xm, y, z));
         c.read_at(lv.at(lv.u, xp, y, z));
         c.read_at(lv.at(lv.u, x, ym, z));
@@ -100,33 +104,94 @@ fn smooth(c: &mut Chunk, lv: &Level, zs: std::ops::Range<u64>) {
         c.compute(COMPUTE_PER_POINT);
         c.write_at(lv.at(lv.u, x, y, z));
     };
-    for z in zs {
-        let zm = z.saturating_sub(1);
-        let zp = (z + 1).min(lv.nz - 1);
-        for y in 0..lv.ny {
-            let ym = y.saturating_sub(1);
-            let yp = (y + 1).min(lv.ny - 1);
-            point(c, 0, y, z);
-            if lv.nx >= 3 {
-                // Interior x in 1..nx-1: no clamping, every operand
-                // affine in x.
-                let mut body = Nest::new(lv.nx - 2);
-                body.read(lv.at(lv.u, 0, y, z), ELEM)
-                    .read(lv.at(lv.u, 2, y, z), ELEM)
-                    .read(lv.at(lv.u, 1, ym, z), ELEM)
-                    .read(lv.at(lv.u, 1, yp, z), ELEM)
-                    .read(lv.at(lv.u, 1, y, zm), ELEM)
-                    .read(lv.at(lv.u, 1, y, zp), ELEM)
-                    .read(lv.at(lv.r, 1, y, z), ELEM)
-                    .compute(COMPUTE_PER_POINT)
-                    .write(lv.at(lv.u, 1, y, z), ELEM);
-                c.nest(body);
-            }
-            if lv.nx >= 2 {
-                point(c, lv.nx - 1, y, z);
-            }
+    point(c, 0);
+    if lv.nx >= 3 {
+        // Interior x in 1..nx-1: no clamping, every operand affine in x.
+        let mut body = Nest::new(lv.nx - 2);
+        body.read(lv.at(lv.u, 0, y, z), ELEM)
+            .read(lv.at(lv.u, 2, y, z), ELEM)
+            .read(lv.at(lv.u, 1, ym, z), ELEM)
+            .read(lv.at(lv.u, 1, yp, z), ELEM)
+            .read(lv.at(lv.u, 1, y, zm), ELEM)
+            .read(lv.at(lv.u, 1, y, zp), ELEM)
+            .read(lv.at(lv.r, 1, y, z), ELEM)
+            .compute(COMPUTE_PER_POINT)
+            .write(lv.at(lv.u, 1, y, z), ELEM);
+        c.nest(body);
+    }
+    if lv.nx >= 2 {
+        point(c, lv.nx - 1);
+    }
+}
+
+/// One coarse row (y, z) of the restriction from `fine` to `coarse`.
+fn restrict_row(c: &mut Chunk, fine: &Level, coarse: &Level, y: u64, z: u64) {
+    let fz = (2 * z).min(fine.nz - 1);
+    let fy = (2 * y).min(fine.ny - 1);
+    if 2 * coarse.nx - 1 < fine.nx {
+        // No x-clamping anywhere in range: both fine reads stride two
+        // elements per coarse point.
+        let mut body = Nest::new(coarse.nx);
+        body.read(fine.at(fine.r, 0, fy, fz), 2 * ELEM)
+            .read(fine.at(fine.u, 1, fy, fz), 2 * ELEM)
+            .compute(4)
+            .write(coarse.at(coarse.r, 0, y, z), ELEM);
+        c.nest(body);
+    } else {
+        for x in 0..coarse.nx {
+            // read 2 fine points + write coarse r
+            c.read_at(fine.at(fine.r, (2 * x).min(fine.nx - 1), fy, fz));
+            c.read_at(fine.at(fine.u, (2 * x + 1).min(fine.nx - 1), fy, fz));
+            c.compute(4);
+            c.write_at(coarse.at(coarse.r, x, y, z));
         }
     }
+}
+
+/// One fine row (y, z) of the prolongation from `coarse` to `fine`.
+fn prolong_row(c: &mut Chunk, fine: &Level, coarse: &Level, y: u64, z: u64) {
+    for x in 0..fine.nx {
+        c.read_at(coarse.at(
+            coarse.u,
+            (x / 2).min(coarse.nx - 1),
+            (y / 2).min(coarse.ny - 1),
+            (z / 2).min(coarse.nz - 1),
+        ));
+        c.compute(2);
+        c.write_at(fine.at(fine.u, x, y, z));
+    }
+}
+
+/// One sweep of a V-cycle; every sweep ends at a barrier.
+#[derive(Debug, Clone, Copy)]
+enum Sweep {
+    /// Smooth level l.
+    Smooth(usize),
+    /// Restrict the residual of level l to level l + 1.
+    Restrict(usize),
+    /// Prolong level l + 1 onto level l.
+    Prolong(usize),
+}
+
+impl Sweep {
+    /// The level whose rows the sweep writes.
+    fn target(self) -> usize {
+        match self {
+            Sweep::Smooth(l) | Sweep::Prolong(l) => l,
+            Sweep::Restrict(l) => l + 1,
+        }
+    }
+}
+
+/// The sweeps of one V-cycle over `nlev` levels, in order: down, smooth
+/// then restrict per level; two smoothing sweeps on the coarsest; up,
+/// prolong then smooth per level.
+fn v_cycle(nlev: usize) -> Vec<Sweep> {
+    let down = (0..nlev - 1).flat_map(|l| [Sweep::Smooth(l), Sweep::Restrict(l)]);
+    let up = (0..nlev - 1)
+        .rev()
+        .flat_map(|l| [Sweep::Prolong(l), Sweep::Smooth(l)]);
+    down.chain([Sweep::Smooth(nlev - 1); 2]).chain(up).collect()
 }
 
 pub(crate) fn streams(w: &Workload, map: &AddressMap) -> Vec<OpStream> {
@@ -144,92 +209,45 @@ pub(crate) fn streams(w: &Workload, map: &AddressMap) -> Vec<OpStream> {
     (0..procs)
         .map(|me| {
             let levels = levels.clone();
-            chunked(move |iter, c| {
+            let level = move |l: usize| {
+                let (nx, ny, nz) = prm.dims(l);
+                Level {
+                    u: levels[l].0,
+                    r: levels[l].1,
+                    nx,
+                    ny,
+                    nz,
+                }
+            };
+            // Cursor: sweeps finished so far, and the current sweep's next
+            // group of my rows (z-planes partitioned, every y-row of
+            // each). A sweep's last group carries its barrier. Every row
+            // ends with a write, so no compute coalesces across a cut.
+            let cycle = v_cycle(nlev);
+            let per_cycle = cycle.len() as u64;
+            let (mut done, mut g) = (0, 0);
+            chunked(move |_, c| {
+                let (iter, s) = (done / per_cycle, (done % per_cycle) as usize);
                 if iter >= prm.iters {
                     return false;
                 }
-                let mut bar = (iter as u32) * (4 * nlev as u32 + 4);
-                let level = |l: usize| {
-                    let (nx, ny, nz) = prm.dims(l);
-                    Level {
-                        u: levels[l].0,
-                        r: levels[l].1,
-                        nx,
-                        ny,
-                        nz,
+                let sweep = cycle[s];
+                let lv = level(sweep.target());
+                let zs = partition(lv.nz, procs, me);
+                let rows = (zs.end - zs.start) * lv.ny;
+                for u in group(&(0..rows), ROWS_PER_PHASE, g) {
+                    let (y, z) = (u % lv.ny, zs.start + u / lv.ny);
+                    match sweep {
+                        Sweep::Smooth(_) => smooth_row(c, &lv, y, z),
+                        Sweep::Restrict(l) => restrict_row(c, &level(l), &lv, y, z),
+                        Sweep::Prolong(l) => prolong_row(c, &lv, &level(l + 1), y, z),
                     }
-                };
-                // Down-sweep: smooth, then restrict the residual to l+1.
-                for l in 0..nlev - 1 {
-                    let fine = level(l);
-                    let coarse = level(l + 1);
-                    smooth(c, &fine, partition(fine.nz, procs, me));
-                    c.barrier(bar);
-                    bar += 1;
-                    for z in partition(coarse.nz, procs, me) {
-                        let fz = (2 * z).min(fine.nz - 1);
-                        for y in 0..coarse.ny {
-                            let fy = (2 * y).min(fine.ny - 1);
-                            if 2 * coarse.nx - 1 < fine.nx {
-                                // No x-clamping anywhere in range: both
-                                // fine reads stride two elements per
-                                // coarse point.
-                                let mut body = Nest::new(coarse.nx);
-                                body.read(fine.at(fine.r, 0, fy, fz), 2 * ELEM)
-                                    .read(fine.at(fine.u, 1, fy, fz), 2 * ELEM)
-                                    .compute(4)
-                                    .write(coarse.at(coarse.r, 0, y, z), ELEM);
-                                c.nest(body);
-                            } else {
-                                for x in 0..coarse.nx {
-                                    // read 2 fine points + write coarse r
-                                    c.read_at(fine.at(fine.r, (2 * x).min(fine.nx - 1), fy, fz));
-                                    c.read_at(fine.at(
-                                        fine.u,
-                                        (2 * x + 1).min(fine.nx - 1),
-                                        fy,
-                                        fz,
-                                    ));
-                                    c.compute(4);
-                                    c.write_at(coarse.at(coarse.r, x, y, z));
-                                }
-                            }
-                        }
-                    }
-                    c.barrier(bar);
-                    bar += 1;
                 }
-                // Coarsest solve: two smoothing sweeps.
-                let bot = level(nlev - 1);
-                smooth(c, &bot, partition(bot.nz, procs, me));
-                c.barrier(bar);
-                bar += 1;
-                smooth(c, &bot, partition(bot.nz, procs, me));
-                c.barrier(bar);
-                bar += 1;
-                // Up-sweep: prolong to l, then smooth l.
-                for l in (0..nlev - 1).rev() {
-                    let fine = level(l);
-                    let coarse = level(l + 1);
-                    for z in partition(fine.nz, procs, me) {
-                        for y in 0..fine.ny {
-                            for x in 0..fine.nx {
-                                c.read_at(coarse.at(
-                                    coarse.u,
-                                    (x / 2).min(coarse.nx - 1),
-                                    (y / 2).min(coarse.ny - 1),
-                                    (z / 2).min(coarse.nz - 1),
-                                ));
-                                c.compute(2);
-                                c.write_at(fine.at(fine.u, x, y, z));
-                            }
-                        }
-                    }
-                    c.barrier(bar);
-                    bar += 1;
-                    smooth(c, &fine, partition(fine.nz, procs, me));
-                    c.barrier(bar);
-                    bar += 1;
+                g += 1;
+                if g >= rows.div_ceil(ROWS_PER_PHASE) {
+                    c.barrier(iter as u32 * (4 * nlev as u32 + 4) + s as u32);
+                    g = 0;
+                    done += 1;
                 }
                 true
             })
@@ -295,7 +313,9 @@ mod tests {
             ny: 4,
             nz: 4,
         };
-        smooth(&mut c, &lv, 0..1);
+        for y in 0..lv.ny {
+            smooth_row(&mut c, &lv, y, 0);
+        }
         let ops: Vec<Op> = c.into_macros().iter().flat_map(|m| m.expand()).collect();
         let reads = ops.iter().filter(|o| matches!(o, Op::Read(_))).count();
         let writes = ops.iter().filter(|o| matches!(o, Op::Write(_))).count();

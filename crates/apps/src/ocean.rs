@@ -80,27 +80,27 @@ pub(crate) fn streams(w: &Workload, map: &AddressMap) -> Vec<OpStream> {
     (0..procs)
         .map(|me| {
             let mg = mg.clone();
-            chunked(move |step, c| {
+            // One phase per stage of a timestep, each closed by its
+            // barrier: at most n - 2 = 64 row nests, 22 KiB of refill.
+            let levels = prm.levels;
+            let stages = 3 + 2 * levels + 1;
+            chunked(move |phase, c| {
+                let (step, s) = (phase / stages as u64, (phase % stages as u64) as usize);
                 if step >= prm.steps {
                     return false;
                 }
-                let mut bar = (step as u32) * 32;
-                let mut barrier = |c: &mut Chunk| {
-                    c.barrier(bar);
-                    bar += 1;
-                };
-                // Three physics sweeps.
-                for (src, dst) in [(u, work), (v, u), (work, v)] {
+                if s < 3 {
+                    // Three physics sweeps.
+                    let (src, dst) = [(u, work), (v, u), (work, v)][s];
                     sweep(c, src, dst, n, partition(n - 2, procs, me));
-                    barrier(c);
-                }
-                // Multigrid solve: down (restrict) then up (smooth).
-                for l in 0..prm.levels {
+                } else if s < 3 + levels {
+                    // Multigrid solve, down: restrict to level l. The
+                    // source row is fixed per r, so the whole column walk
+                    // is affine.
+                    let l = s - 3;
                     let d = prm.dim(l);
                     let grid = mg[l];
                     let src = if l == 0 { psi } else { mg[l - 1] };
-                    // Restrict / smooth on level l. The source row is
-                    // fixed per r, so the whole column walk is affine.
                     let sd = prm.dim(l.saturating_sub(1));
                     for r in partition(d.saturating_sub(2), procs, me) {
                         let r = r + 1;
@@ -111,22 +111,22 @@ pub(crate) fn streams(w: &Workload, map: &AddressMap) -> Vec<OpStream> {
                             .write(grid + (r * d + 1) * ELEM, ELEM);
                         c.nest(body);
                     }
-                    barrier(c);
-                }
-                for l in (0..prm.levels).rev() {
+                } else if s < 3 + 2 * levels {
+                    // Up: smooth level l, coarsest first.
+                    let l = 3 + 2 * levels - 1 - s;
                     let d = prm.dim(l);
                     sweep(c, mg[l], mg[l], d, partition(d - 2, procs, me));
-                    barrier(c);
+                } else {
+                    // Copy solution back into psi.
+                    for r in partition(n - 2, procs, me) {
+                        let r = r + 1;
+                        let mut body = Nest::new(n - 2);
+                        body.read(mg[0] + (r * n + 1) * ELEM, ELEM)
+                            .write(psi + (r * n + 1) * ELEM, ELEM);
+                        c.nest(body);
+                    }
                 }
-                // Copy solution back into psi.
-                for r in partition(n - 2, procs, me) {
-                    let r = r + 1;
-                    let mut body = Nest::new(n - 2);
-                    body.read(mg[0] + (r * n + 1) * ELEM, ELEM)
-                        .write(psi + (r * n + 1) * ELEM, ELEM);
-                    c.nest(body);
-                }
-                barrier(c);
+                c.barrier(step as u32 * 32 + s as u32);
                 true
             })
         })

@@ -10,6 +10,8 @@
 //! `Iterator` impl, the engine's fast path) must agree with it
 //! bit-for-bit.
 
+use std::cell::RefCell;
+
 use memsys::Addr;
 
 /// Lock identifier (application-scoped).
@@ -395,10 +397,15 @@ pub struct OpStream {
     sbuf: Vec<Op>,
     spos: usize,
     source: Option<Box<dyn MacroSource>>,
+    /// Built by [`from_ops`](Self::from_ops): `sbuf` is the whole
+    /// program, kept for [`spare_ops`] when the stream is dropped.
+    materialized: bool,
 }
 
 impl OpStream {
     /// A stream over a fully materialized op vector (replays, tests).
+    /// Dropped, it leaves `ops`' memory for the next
+    /// [`trace::load`](crate::trace::load) on this thread.
     pub fn from_ops(ops: Vec<Op>) -> Self {
         Self {
             mbuf: Vec::new(),
@@ -407,6 +414,7 @@ impl OpStream {
             sbuf: ops,
             spos: 0,
             source: None,
+            materialized: true,
         }
     }
 
@@ -419,6 +427,7 @@ impl OpStream {
             sbuf: Vec::new(),
             spos: 0,
             source: Some(Box::new(source)),
+            materialized: false,
         }
     }
 
@@ -596,6 +605,48 @@ impl Iterator for OpStream {
                 }
             }
         }
+    }
+}
+
+/// The most op-vector capacity one thread keeps for [`spare_ops`]:
+/// 64 MiB, four times the largest of the replays netbench runs (cg at 16
+/// nodes and scale 0.1). What a larger replay drops beyond it is freed.
+const SPARE_BYTES: usize = 64 << 20;
+
+thread_local! {
+    /// Op vectors of this thread's dropped materialized streams.
+    static SPARE: RefCell<Vec<Vec<Op>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// An empty op vector for a materialized stream: the memory of one
+/// dropped earlier on this thread, if any. A thread that replays trace
+/// after trace refills resident pages instead of faulting fresh ones
+/// in for every replay, whatever the C allocator did with its heap.
+pub(crate) fn spare_ops() -> Vec<Op> {
+    SPARE
+        .try_with(|spare| spare.borrow_mut().pop())
+        .ok()
+        .flatten()
+        .unwrap_or_default()
+}
+
+impl Drop for OpStream {
+    /// Keeps a materialized stream's op vector for `spare_ops` while the
+    /// thread holds at most `SPARE_BYTES` of them.
+    fn drop(&mut self) {
+        if !self.materialized || self.sbuf.capacity() == 0 {
+            return;
+        }
+        let mut ops = std::mem::take(&mut self.sbuf);
+        ops.clear();
+        // During thread teardown the list may be gone; `ops` is freed.
+        let _ = SPARE.try_with(|spare| {
+            let mut spare = spare.borrow_mut();
+            let held: usize = spare.iter().map(Vec::capacity).sum();
+            if (held + ops.capacity()) * std::mem::size_of::<Op>() <= SPARE_BYTES {
+                spare.push(ops);
+            }
+        });
     }
 }
 
@@ -847,6 +898,25 @@ mod tests {
                 Op::Read((1 << 20) + 12),
             ]
         );
+    }
+
+    #[test]
+    fn only_materialized_streams_keep_their_ops_within_spare_bytes() {
+        // A generator's stream spills nest iterations into the same
+        // buffer; dropped (by `count`), it keeps nothing.
+        let mut nest = Nest::new(2);
+        nest.read(0, 64).write(4096, 64);
+        assert_eq!(phased(vec![vec![MacroOp::Nest(Box::new(nest))]]).count(), 4);
+        drop(OpStream::from_ops(Vec::new()));
+        let cap = SPARE_BYTES / std::mem::size_of::<Op>() / 3;
+        for _ in 0..4 {
+            drop(OpStream::from_ops(Vec::with_capacity(cap)));
+        }
+        let kept: Vec<usize> = std::iter::repeat_with(spare_ops)
+            .map(|ops| ops.capacity())
+            .take_while(|&c| c > 0)
+            .collect();
+        assert_eq!(kept, [cap; 3], "the fourth would pass SPARE_BYTES");
     }
 
     #[test]

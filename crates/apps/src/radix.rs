@@ -13,7 +13,7 @@
 //! Paper reuse class: **Low** (and read latency is a small fraction of run
 //! time — the shared cache barely matters; Fig. 7).
 
-use crate::gen::{chunked, partition, stream_rng, Alloc, ELEM};
+use crate::gen::{chunked, group, partition, stream_rng, Alloc, ELEM};
 use crate::ops::{Nest, OpStream};
 use crate::workload::Workload;
 use memsys::AddressMap;
@@ -43,6 +43,9 @@ impl Params {
 
 const APP_TAG: u64 = 0x5A;
 
+/// Keys per phase: at most 64 × 6 macro-ops, 12 KiB of refill.
+const KEYS_PER_PHASE: u64 = 64;
+
 pub(crate) fn streams(w: &Workload, map: &AddressMap) -> Vec<OpStream> {
     let prm = Params::scaled(w.scale);
     let nk = prm.keys;
@@ -62,48 +65,63 @@ pub(crate) fn streams(w: &Workload, map: &AddressMap) -> Vec<OpStream> {
         .map(|me| {
             let mine = partition(nk, procs, me);
             let lh = lhist[me];
-            chunked(move |pass, c| {
+            // Phases per pass: the histogram's key groups, the prefix sum,
+            // the permutation's key groups. Every group ends with a
+            // write, so no compute coalesces across a cut.
+            let groups = (mine.end - mine.start).div_ceil(KEYS_PER_PHASE);
+            let per_pass = 2 * groups + 1;
+            let mut rng = stream_rng(seed, APP_TAG, me); // re-seeded per pass
+            chunked(move |phase, c| {
+                let (pass, step) = (phase / per_pass, phase % per_pass);
                 if pass >= prm.passes {
                     return false;
                 }
-                let mut rng = stream_rng(seed ^ pass, APP_TAG, me);
+                if step == 0 {
+                    rng = stream_rng(seed ^ pass, APP_TAG, me);
+                }
                 let (from, to) = if pass % 2 == 0 {
                     (src, dst)
                 } else {
                     (dst, src)
                 };
-                let bar = (pass as u32) * 3;
-                // Histogram my keys.
-                for i in mine.clone() {
-                    c.read(from, i, ELEM);
-                    c.compute(3); // digit extraction
-                    let bucket = rng.below(prm.radix);
-                    c.read(lh, bucket, ELEM);
-                    c.compute(1);
-                    c.write(lh, bucket, ELEM);
-                }
-                c.barrier(bar);
-                // Publish my histogram; read everyone's for the prefix sum.
-                c.write_run(ghist, me as u64 * prm.radix, prm.radix, ELEM);
-                c.barrier(bar + 1);
-                for p in 0..procs as u64 {
-                    // Sampled read of p's histogram row: every 4th counter.
-                    let mut body = Nest::new(prm.radix / 4);
-                    body.read(ghist + p * prm.radix * ELEM, 4 * ELEM).compute(1);
-                    c.nest(body);
-                }
-                c.barrier(bar + 2);
-                // Permutation: read my keys in order; look up and bump the
-                // private rank entry for the key's digit; write the key to
-                // its (pseudo-random) destination.
-                for i in mine.clone() {
-                    c.read(from, i, ELEM);
-                    c.compute(3);
-                    let bucket = rng.below(prm.radix);
-                    c.read(lh, bucket, ELEM);
-                    c.compute(2);
-                    c.write(lh, bucket, ELEM);
-                    c.write(to, rng.below(nk), ELEM);
+                if step < groups {
+                    // Histogram my keys.
+                    for i in group(&mine, KEYS_PER_PHASE, step) {
+                        c.read(from, i, ELEM);
+                        c.compute(3); // digit extraction
+                        let bucket = rng.below(prm.radix);
+                        c.read(lh, bucket, ELEM);
+                        c.compute(1);
+                        c.write(lh, bucket, ELEM);
+                    }
+                } else if step == groups {
+                    let bar = (pass as u32) * 3;
+                    c.barrier(bar);
+                    // Publish my histogram; read everyone's for the prefix
+                    // sum.
+                    c.write_run(ghist, me as u64 * prm.radix, prm.radix, ELEM);
+                    c.barrier(bar + 1);
+                    for p in 0..procs as u64 {
+                        // Sampled read of p's histogram row: every 4th
+                        // counter.
+                        let mut body = Nest::new(prm.radix / 4);
+                        body.read(ghist + p * prm.radix * ELEM, 4 * ELEM).compute(1);
+                        c.nest(body);
+                    }
+                    c.barrier(bar + 2);
+                } else {
+                    // Permutation: read my keys in order; look up and bump
+                    // the private rank entry for the key's digit; write the
+                    // key to its (pseudo-random) destination.
+                    for i in group(&mine, KEYS_PER_PHASE, step - groups - 1) {
+                        c.read(from, i, ELEM);
+                        c.compute(3);
+                        let bucket = rng.below(prm.radix);
+                        c.read(lh, bucket, ELEM);
+                        c.compute(2);
+                        c.write(lh, bucket, ELEM);
+                        c.write(to, rng.below(nk), ELEM);
+                    }
                 }
                 true
             })

@@ -73,56 +73,51 @@ pub(crate) fn streams(w: &Workload, map: &AddressMap) -> Vec<OpStream> {
             // Static round-robin tile pre-assignment stands in for the
             // dynamic queue (a fixed per-processor stream cannot depend on
             // runtime timing); the queue lock is still exercised per tile.
-            let tiles: Vec<u64> = (0..prm.tiles())
-                .filter(|t| (*t as usize) % procs == me)
-                .collect();
-            let mut next = 0usize;
-            chunked(move |_phase, c| {
-                if next >= tiles.len() {
-                    if next == tiles.len() {
-                        next += 1;
-                        c.barrier(0); // final frame barrier
-                        return true;
-                    }
+            // One phase per pixel row: a row ends with the pixel write, so
+            // no compute coalesces across a cut.
+            let mut rng = stream_rng(seed, APP_TAG, me); // re-seeded per tile
+            chunked(move |phase, c| {
+                let (t, py) = (phase / prm.tile, phase % prm.tile);
+                let tile = me as u64 + t * procs as u64;
+                if tile >= prm.tiles() {
+                    c.barrier(0); // final frame barrier
                     return false;
                 }
-                let tile = tiles[next];
-                next += 1;
-                let mut rng = stream_rng(seed ^ tile, APP_TAG, me);
-                // Grab the next tile from the shared queue.
-                c.acquire(QUEUE_LOCK);
-                c.read(counter, 0, 8);
-                c.compute(2);
-                c.write(counter, 0, 8);
-                c.release(QUEUE_LOCK);
-                // Trace the tile's rays.
+                if py == 0 {
+                    rng = stream_rng(seed ^ tile, APP_TAG, me);
+                    // Grab the next tile from the shared queue.
+                    c.acquire(QUEUE_LOCK);
+                    c.read(counter, 0, 8);
+                    c.compute(2);
+                    c.write(counter, 0, 8);
+                    c.release(QUEUE_LOCK);
+                }
+                // Trace the row's rays.
                 let tpe = prm.image / prm.tile;
                 let (tx, ty) = (tile % tpe, tile / tpe);
-                for py in 0..prm.tile {
-                    for px in 0..prm.tile {
-                        let mut rays = 1u64;
-                        if rng.chance(prm.bounce) {
-                            rays += 1;
-                        }
-                        for _ in 0..rays {
-                            // Descend the BVH root-to-leaf: node index at
-                            // level l lives in [2^l - 1, 2^(l+1) - 1).
-                            let mut node = 0u64;
-                            for _l in 0..depth {
-                                c.read(bvh, node, NODE);
-                                c.compute(14); // two AABB slab tests + traversal logic
-                                node = (2 * node + 1 + rng.below(2)).min(prm.bvh_nodes - 1);
-                            }
-                            // Intersect a couple of leaf triangles.
-                            for _ in 0..2 {
-                                c.read(tris, rng.below(prm.tris), TRI);
-                                c.compute(40); // Möller-Trumbore + shading terms
-                            }
-                        }
-                        c.compute(30); // shading + pixel accumulation
-                        let pix = (ty * prm.tile + py) * prm.image + tx * prm.tile + px;
-                        c.write(image, pix, 4);
+                for px in 0..prm.tile {
+                    let mut rays = 1u64;
+                    if rng.chance(prm.bounce) {
+                        rays += 1;
                     }
+                    for _ in 0..rays {
+                        // Descend the BVH root-to-leaf: node index at
+                        // level l lives in [2^l - 1, 2^(l+1) - 1).
+                        let mut node = 0u64;
+                        for _l in 0..depth {
+                            c.read(bvh, node, NODE);
+                            c.compute(14); // two AABB slab tests + traversal logic
+                            node = (2 * node + 1 + rng.below(2)).min(prm.bvh_nodes - 1);
+                        }
+                        // Intersect a couple of leaf triangles.
+                        for _ in 0..2 {
+                            c.read(tris, rng.below(prm.tris), TRI);
+                            c.compute(40); // Möller-Trumbore + shading terms
+                        }
+                    }
+                    c.compute(30); // shading + pixel accumulation
+                    let pix = (ty * prm.tile + py) * prm.image + tx * prm.tile + px;
+                    c.write(image, pix, 4);
                 }
                 true
             })

@@ -16,7 +16,7 @@
 //!
 //! Paper reuse class: **Moderate**.
 
-use crate::gen::{chunked, partition, Alloc, ELEM};
+use crate::gen::{chunked, group, partition, Alloc, ELEM};
 use crate::ops::{Nest, OpStream};
 use crate::workload::Workload;
 use memsys::AddressMap;
@@ -44,6 +44,9 @@ impl Params {
 /// Cycles of FP work per grid point (4 adds, 2 multiplies, loop overhead).
 const COMPUTE_PER_POINT: u32 = 11;
 
+/// Grid rows per phase: 64 row nests, 22 KiB of refill.
+const ROWS_PER_PHASE: u64 = 64;
+
 pub(crate) fn streams(w: &Workload, map: &AddressMap) -> Vec<OpStream> {
     let p = Params::scaled(w.scale);
     let n = p.n;
@@ -54,18 +57,23 @@ pub(crate) fn streams(w: &Workload, map: &AddressMap) -> Vec<OpStream> {
     (0..procs)
         .map(|me| {
             let cols = partition(n - 2, procs, me);
+            let m = cols.end - cols.start;
+            let col = cols.start + 1; // interior columns are 1..n-1
+            let at = move |row: u64, col: u64| grid + (row * n + col) * ELEM;
+            // Phases per sweep: groups of interior rows, the last carrying
+            // the barrier. Every row nest ends with a write.
+            let rows = 1..n - 1;
+            let groups = (n - 2).div_ceil(ROWS_PER_PHASE);
             let iters = p.iters;
-            chunked(move |iter, c| {
+            chunked(move |phase, c| {
+                let (iter, g) = (phase / groups, phase % groups);
                 if iter >= iters {
                     return false;
                 }
-                let m = cols.end - cols.start;
-                for r in 1..n - 1 {
+                for r in group(&rows, ROWS_PER_PHASE, g) {
                     if m == 0 {
                         break;
                     }
-                    let col = cols.start + 1; // interior columns are 1..n-1
-                    let at = |row: u64, col: u64| grid + (row * n + col) * ELEM;
                     let mut body = Nest::new(m);
                     body.read(at(r - 1, col), ELEM)
                         .read(at(r + 1, col), ELEM)
@@ -76,7 +84,9 @@ pub(crate) fn streams(w: &Workload, map: &AddressMap) -> Vec<OpStream> {
                         .write(at(r, col), ELEM);
                     c.nest(body);
                 }
-                c.barrier(iter as u32);
+                if g + 1 == groups {
+                    c.barrier(iter as u32);
+                }
                 true
             })
         })

@@ -229,13 +229,16 @@ fn number<const RADIX: u32>(operand: &[u8], max: u64) -> Result<u64, &'static st
 ///
 /// Reads through a 64 KiB window and parses each line in place. Only a
 /// line that straddles two windows is copied, into one reused buffer.
+/// The ops go into the memory of a replay stream dropped earlier on this
+/// thread, when there is one, so a thread that replays trace after
+/// trace does not fault its traces in afresh each time.
 ///
 /// # Errors
 /// On the first malformed line or I/O error, naming its 1-based line
 /// number.
 pub fn load(reader: impl Read) -> Result<Vec<Op>, String> {
     let mut reader = BufReader::with_capacity(WINDOW, reader);
-    let mut ops = Vec::new();
+    let mut ops = crate::ops::spare_ops();
     let mut carry = Vec::new();
     let mut line_no = 0;
     loop {
@@ -877,6 +880,18 @@ mod tests {
             };
             assert_eq!(load(trickle), want, "{what}, read 1-7 bytes at a time");
         }
+    }
+
+    /// A dropped replay stream's memory takes the next trace loaded on
+    /// the thread, with none of its old ops.
+    #[test]
+    fn load_refills_the_memory_of_a_dropped_replay_stream() {
+        let long = load(dump((0..5000).map(Op::Read)).as_bytes()).unwrap();
+        let memory = long.as_ptr();
+        drop(into_stream(long));
+        let short = load(&b"C 3\nB 0\n"[..]).unwrap();
+        assert_eq!(short, [Op::Compute(3), Op::Barrier(0)]);
+        assert_eq!(short.as_ptr(), memory);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! Paper reuse class: **Moderate** (the 32 KB molecule arrays fit the
 //! shared cache almost exactly).
 
-use crate::gen::{chunked, partition, Alloc};
+use crate::gen::{chunked, group, partition, Alloc};
 use crate::ops::{Nest, OpStream};
 use crate::workload::Workload;
 use memsys::AddressMap;
@@ -48,6 +48,10 @@ impl Params {
 const COMPUTE_PER_PAIR: u32 = 88;
 const NLOCKS: u32 = 64;
 
+/// Molecules per phase: 8 × 117 macro-ops at 48 neighbors, 29 KiB of
+/// refill.
+const MOLECULES_PER_PHASE: u64 = 8;
+
 pub(crate) fn streams(w: &Workload, map: &AddressMap) -> Vec<OpStream> {
     let prm = Params::scaled(w.scale);
     let n = prm.molecules;
@@ -59,46 +63,55 @@ pub(crate) fn streams(w: &Workload, map: &AddressMap) -> Vec<OpStream> {
     (0..procs)
         .map(|me| {
             let mine = partition(n, procs, me);
-            chunked(move |step, c| {
+            // Phases per timestep: the force loop's molecule groups, then
+            // the position update. A molecule ends with a lock release, so
+            // no compute coalesces across a cut.
+            let groups = (mine.end - mine.start).div_ceil(MOLECULES_PER_PHASE);
+            chunked(move |phase, c| {
+                let (step, g) = (phase / (groups + 1), phase % (groups + 1));
                 if step >= prm.steps {
                     return false;
                 }
-                let bar = (step as u32) * 2;
-                // Force computation: my molecules against their spatial
-                // neighborhoods (a deterministic mix of nearby indices —
-                // the spatial cell structure of the real code).
-                for i in mine.clone() {
-                    c.read(pos, i, MOL);
-                    for k in 1..=prm.neighbors {
-                        // Alternate close neighbors and a few across the
-                        // box (periodic boundary).
-                        let j = if k % 8 == 0 {
-                            (i + k * 37) % n
-                        } else {
-                            (i + k) % n
-                        };
-                        c.read(pos, j, MOL);
-                        c.compute(COMPUTE_PER_PAIR);
-                    }
-                    // Accumulate my own force with a per-molecule lock
-                    // (another processor's pair may target it too).
-                    let lock = (i % NLOCKS as u64) as u32 + 1;
-                    c.acquire(lock);
-                    c.read(force, i, MOL);
-                    c.compute(3);
-                    c.write(force, i, MOL);
-                    c.release(lock);
-                    // Scatter a few updates into neighbor forces.
-                    for k in 1..=prm.neighbors / 16 {
-                        let j = (i + k) % n;
-                        let lock = (j % NLOCKS as u64) as u32 + 1;
+                if g < groups {
+                    // Force computation: my molecules against their
+                    // spatial neighborhoods (a deterministic mix of nearby
+                    // indices — the spatial cell structure of the real
+                    // code).
+                    for i in group(&mine, MOLECULES_PER_PHASE, g) {
+                        c.read(pos, i, MOL);
+                        for k in 1..=prm.neighbors {
+                            // Alternate close neighbors and a few across
+                            // the box (periodic boundary).
+                            let j = if k % 8 == 0 {
+                                (i + k * 37) % n
+                            } else {
+                                (i + k) % n
+                            };
+                            c.read(pos, j, MOL);
+                            c.compute(COMPUTE_PER_PAIR);
+                        }
+                        // Accumulate my own force with a per-molecule lock
+                        // (another processor's pair may target it too).
+                        let lock = (i % NLOCKS as u64) as u32 + 1;
                         c.acquire(lock);
-                        c.read(force, j, MOL);
+                        c.read(force, i, MOL);
                         c.compute(3);
-                        c.write(force, j, MOL);
+                        c.write(force, i, MOL);
                         c.release(lock);
+                        // Scatter a few updates into neighbor forces.
+                        for k in 1..=prm.neighbors / 16 {
+                            let j = (i + k) % n;
+                            let lock = (j % NLOCKS as u64) as u32 + 1;
+                            c.acquire(lock);
+                            c.read(force, j, MOL);
+                            c.compute(3);
+                            c.write(force, j, MOL);
+                            c.release(lock);
+                        }
                     }
+                    return true;
                 }
+                let bar = (step as u32) * 2;
                 c.barrier(bar);
                 // Position update (local to my molecules).
                 let (i0, ni) = (mine.start, mine.end - mine.start);

@@ -16,7 +16,7 @@
 //! headline WF result: the shared cache cuts its *synchronization* time by
 //! 56%, giving NetCache its largest win (105% vs DMON-I, 99% vs DMON-U).
 
-use crate::gen::{chunked, partition, Alloc, ELEM};
+use crate::gen::{chunked, group, partition, Alloc, ELEM};
 use crate::ops::{Nest, OpStream};
 use crate::workload::Workload;
 use memsys::AddressMap;
@@ -37,6 +37,10 @@ impl Params {
         }
     }
 }
+
+/// Rows per phase: 8 rows of at most 6 masked nests (384 columns),
+/// 17 KiB of refill.
+const ROWS_PER_PHASE: u64 = 8;
 
 /// Deterministic "did the path improve" predicate (~40% of relaxations).
 #[inline]
@@ -60,24 +64,32 @@ pub(crate) fn streams(w: &Workload, map: &AddressMap) -> Vec<OpStream> {
     (0..procs)
         .map(|me| {
             let rows = partition(n, procs, me);
-            chunked(move |k, c| {
+            // Phases per pivot k: groups of my rows, the first opening
+            // with the serial sweep and the last carrying the closing
+            // barrier. A row opens with a read, so no compute coalesces
+            // across a cut.
+            let groups = (rows.end - rows.start).div_ceil(ROWS_PER_PHASE).max(1);
+            chunked(move |phase, c| {
+                let (k, g) = (phase / groups, phase % groups);
                 if k >= n {
                     return false;
                 }
-                // Serial section: the owner of row k sweeps it first
-                // (modeling the refresh/broadcast step of the parallel
-                // algorithm). Everyone else arrives at the barrier early
-                // and waits — the paper's load imbalance.
-                if rows.contains(&k) {
-                    let mut sweep = Nest::new(n);
-                    sweep
-                        .read(d + k * n * ELEM, ELEM)
-                        .compute(1)
-                        .write(d + k * n * ELEM, ELEM);
-                    c.nest(sweep);
+                if g == 0 {
+                    // Serial section: the owner of row k sweeps it first
+                    // (modeling the refresh/broadcast step of the parallel
+                    // algorithm). Everyone else arrives at the barrier
+                    // early and waits — the paper's load imbalance.
+                    if rows.contains(&k) {
+                        let mut sweep = Nest::new(n);
+                        sweep
+                            .read(d + k * n * ELEM, ELEM)
+                            .compute(1)
+                            .write(d + k * n * ELEM, ELEM);
+                        c.nest(sweep);
+                    }
+                    c.barrier(2 * k as u32);
                 }
-                c.barrier(2 * k as u32);
-                for i in rows.clone() {
+                for i in group(&rows, ROWS_PER_PHASE, g) {
                     c.read(d, i * n + k, ELEM); // d[i][k]
                     c.compute(1);
                     // Relaxation loop in masked-nest blocks: the gate bit
@@ -101,7 +113,9 @@ pub(crate) fn streams(w: &Workload, map: &AddressMap) -> Vec<OpStream> {
                         j += m;
                     }
                 }
-                c.barrier(2 * k as u32 + 1);
+                if g + 1 == groups {
+                    c.barrier(2 * k as u32 + 1);
+                }
                 true
             })
         })

@@ -158,6 +158,7 @@ impl Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gen::{refill_bytes, REFILL_BYTES};
     use crate::ops::Op;
     use crate::trace::check_contract;
 
@@ -301,5 +302,162 @@ mod tests {
     #[should_panic(expected = "scale")]
     fn zero_scale_rejected() {
         let _ = Workload::new(AppId::Sor, 4).scale(0.0);
+    }
+
+    /// Processor counts the stream checks below cover: Fig. 5's
+    /// one-node baseline up to the largest machine `validate` accepts.
+    const PROCS: [usize; 4] = [1, 4, 16, 64];
+
+    /// FNV-1a over every processor's scalar op sequence, in processor
+    /// order, each stream closed by its length (the hashing of
+    /// `RunReport::digest`).
+    fn stream_digest(w: &Workload) -> u64 {
+        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+        const PRIME: u64 = 0x0000_0100_0000_01b3;
+        let mut h = OFFSET;
+        let mut put = |x: u64| {
+            for byte in x.to_le_bytes() {
+                h ^= byte as u64;
+                h = h.wrapping_mul(PRIME);
+            }
+        };
+        for s in w.streams(&AddressMap::new(w.procs, 64)) {
+            let mut len = 0u64;
+            for op in s {
+                let (tag, v) = match op {
+                    Op::Compute(n) => (0, u64::from(n)),
+                    Op::Read(a) => (1, a),
+                    Op::Write(a) => (2, a),
+                    Op::Acquire(id) => (3, u64::from(id)),
+                    Op::Release(id) => (4, u64::from(id)),
+                    Op::Barrier(id) => (5, u64::from(id)),
+                };
+                put(tag);
+                put(v);
+                len += 1;
+            }
+            put(len);
+        }
+        h
+    }
+
+    /// Each app's [`stream_digest`] at [`PROCS`] = 1, 4, 16, 64, pinned
+    /// from the generators before their phases were cut into bounded
+    /// refills. Where a generator cuts its refills must never show here.
+    #[rustfmt::skip]
+    const STREAM_GOLDEN_002: [(AppId, [u64; 4]); 12] = [
+        (AppId::Cg, [0x9a67ead970d6df20, 0xbf7f7599fa467967, 0x6778e4c95dac01b5, 0x68c1fef5658dc663]),
+        (AppId::Em3d, [0xac9884b338713abd, 0xb12d47b73daed444, 0x4448e5978623c0c5, 0x0b11b3fddfe5068f]),
+        (AppId::Fft, [0x1c6e9efcbcd42009, 0x588714b500df5425, 0x0531626a382e7ba5, 0xc062dbb185a47925]),
+        (AppId::Gauss, [0x25f61810741071ad, 0x61862e1b088763c5, 0xbb3573ad6b0775d2, 0x44b554ba56823412]),
+        (AppId::Lu, [0xdb35ccbe780b25fa, 0xe1964304c3e0a4d5, 0xe44efd237df0a6dd, 0xf25194c4246e201d]),
+        (AppId::Mg, [0x18d369c55ffa7af5, 0xf15e6b471c382dd7, 0x57db5ce947d43a8b, 0xe60005f4b19bb943]),
+        (AppId::Ocean, [0xfd0a5cfe52af3438, 0x8ca6cf9570b1fe0f, 0x0a4c5b5edbd835ab, 0x7a55d176918c16c3]),
+        (AppId::Radix, [0x0eec87a93221908d, 0xa9ef6742f533fd2d, 0xed3dec26cb22c0e3, 0x2454fd4522808d19]),
+        (AppId::Raytrace, [0x61b9205543856139, 0xb17ae099f2577a6f, 0xb9162c3d94a381dd, 0x37cca16b2d89f518]),
+        (AppId::Sor, [0xe97bd71ad775ab4b, 0x79dacc944d265665, 0xa32864b75430d869, 0x0daa99bbaf1a5f39]),
+        (AppId::Water, [0xa4c553bb0980c100, 0xbe90febea355f395, 0x65148a8532e3c145, 0x453dc8cedf1844a5]),
+        (AppId::Wf, [0x567b8d00883d2892, 0x40b80ca3bf05fd74, 0x625345c81b32b2a2, 0x3c8771e7dc6469eb]),
+    ];
+
+    /// [`STREAM_GOLDEN_002`] at scale 0.1 (netbench's scale).
+    #[rustfmt::skip]
+    const STREAM_GOLDEN_010: [(AppId, [u64; 4]); 12] = [
+        (AppId::Cg, [0x266d6399a2f4ca99, 0x23d5e9e16c5096ab, 0x695e6ac3eb42be85, 0x27b2d40cbd6b2787]),
+        (AppId::Em3d, [0xac9884b338713abd, 0xb12d47b73daed444, 0x4448e5978623c0c5, 0x0b11b3fddfe5068f]),
+        (AppId::Fft, [0xc4f5384de2c38493, 0x740f3641e93ea605, 0xd1bd004958884225, 0x6b07a9b21a4d5625]),
+        (AppId::Gauss, [0x5230aab92c4ace0b, 0xacab8631347c4864, 0x6f2c372b8837a4e2, 0x2461cf72f88eb069]),
+        (AppId::Lu, [0xfbecec912cef7492, 0x5a97861d7edb3245, 0x6206bfed70abd116, 0xafc58bb290940c5a]),
+        (AppId::Mg, [0x18d369c55ffa7af5, 0xf15e6b471c382dd7, 0x57db5ce947d43a8b, 0xe60005f4b19bb943]),
+        (AppId::Ocean, [0xfd0a5cfe52af3438, 0x8ca6cf9570b1fe0f, 0x0a4c5b5edbd835ab, 0x7a55d176918c16c3]),
+        (AppId::Radix, [0x41ab2d0cf8b61d35, 0xe0113ff35f9e9fec, 0x79644f95366466a3, 0xf3b45579f926865e]),
+        (AppId::Raytrace, [0x61b9205543856139, 0xb17ae099f2577a6f, 0xb9162c3d94a381dd, 0x37cca16b2d89f518]),
+        (AppId::Sor, [0xd4ccee44bb7a3e65, 0xe241ab82ddfc4c7d, 0x06ca7b154a3aff91, 0x06faef7b60f91e49]),
+        (AppId::Water, [0xa4c553bb0980c100, 0xbe90febea355f395, 0x65148a8532e3c145, 0x453dc8cedf1844a5]),
+        (AppId::Wf, [0xb4ca7b4c1dd3af15, 0x84efadec1544d45c, 0x768c7b274e29e48b, 0xef9d32af2e855801]),
+    ];
+
+    fn check_stream_goldens(scale: f64, golden: &[(AppId, [u64; 4]); 12]) {
+        let mut wrong = Vec::new();
+        for &(app, want) in golden {
+            for (procs, want) in PROCS.into_iter().zip(want) {
+                let got = stream_digest(&Workload::new(app, procs).scale(scale));
+                if got != want {
+                    wrong.push(format!(
+                        "{} procs {procs}: {got:#018x}, pinned {want:#018x}",
+                        app.name()
+                    ));
+                }
+            }
+        }
+        assert!(
+            wrong.is_empty(),
+            "op streams changed at scale {scale}:\n{}",
+            wrong.join("\n")
+        );
+    }
+
+    #[test]
+    fn op_streams_match_their_goldens() {
+        check_stream_goldens(0.02, &STREAM_GOLDEN_002);
+    }
+
+    #[test]
+    #[ignore = "slow in a debug build; CI runs it in release"]
+    fn op_streams_match_their_goldens_at_scale_0_1() {
+        check_stream_goldens(0.1, &STREAM_GOLDEN_010);
+    }
+
+    /// The largest refill any processor's stream of `w` makes, drained
+    /// through the engine's macro cursor.
+    fn max_refill_bytes(w: &Workload) -> usize {
+        let mut worst = 0;
+        for mut s in w.streams(&AddressMap::new(w.procs, 64)) {
+            loop {
+                let run = s.macro_run();
+                if run.is_empty() {
+                    break;
+                }
+                worst = worst.max(refill_bytes(run));
+                for _ in 0..run.len() {
+                    let n = s.macro_run()[0].total_iters();
+                    s.consume_iters(n);
+                }
+            }
+        }
+        worst
+    }
+
+    fn check_refill_budget(scales: &[f64]) {
+        let mut over = Vec::new();
+        for app in AppId::ALL {
+            for procs in PROCS {
+                for &scale in scales {
+                    let worst = max_refill_bytes(&Workload::new(app, procs).scale(scale));
+                    if worst > REFILL_BYTES {
+                        over.push(format!(
+                            "{} procs {procs} scale {scale}: {worst} B",
+                            app.name()
+                        ));
+                    }
+                }
+            }
+        }
+        assert!(
+            over.is_empty(),
+            "refills over {REFILL_BYTES} B:\n{}",
+            over.join("\n")
+        );
+    }
+
+    #[test]
+    fn refills_fit_the_budget() {
+        check_refill_budget(&[0.02, 0.1]);
+    }
+
+    #[test]
+    #[ignore = "paper-scale inputs; CI runs it in release"]
+    fn refills_fit_the_budget_at_paper_scale() {
+        check_refill_budget(&[1.0]);
     }
 }
