@@ -49,7 +49,7 @@ pub use machine::{run_streams, run_workload, EngineScratch};
 pub use metrics::{NodeStats, RunReport};
 pub use proto::{Node, ProtoCounters, Protocol, ReadKind};
 pub use ring::{RingCache, RingLookup, RingStats};
-pub use runner::{compare, compare_stored, run_app, speedup, speedup_stored};
+pub use runner::{compare, run_app};
 pub use store::{cell_key, point_key, Store, StoreStats};
 pub use sweep::{Sweep, SweepPoint, SweepResult, SweepRun, SweepSpec};
 pub use topology::{Fabric, LinkCounters, Topology};

@@ -1,19 +1,10 @@
-//! One-call experiment helpers used by the examples, tests and benches.
+//! One-call experiment helpers used by the examples and tests.
 
 use crate::config::SysConfig;
 use crate::machine::{run_workload, EngineScratch};
 use crate::metrics::RunReport;
-use crate::store::{cell_key, Store};
-use crate::sweep::{par_map, NoopObserver, Sweep, SweepPoint};
+use crate::sweep::{Sweep, SweepPoint};
 use netcache_apps::{AppId, Workload};
-
-/// Worker count for the implicit parallelism in [`compare`] and
-/// [`speedup`]: every host core (the runs are independent simulations).
-fn default_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-}
 
 /// Runs one workload on one machine configuration (statically-dispatched
 /// engine; see [`crate::machine::run_streams`]).
@@ -21,81 +12,26 @@ pub fn run_app(cfg: &SysConfig, workload: &Workload) -> RunReport {
     run_workload(cfg, workload, &mut EngineScratch::new())
 }
 
-/// Runs the same app at the same scale on 1 node and on `procs` nodes and
-/// returns `(t1, tp, speedup)` — the paper's Fig. 5 metric. The two runs
-/// are independent and execute concurrently through the sweep engine.
-pub fn speedup(cfg: &SysConfig, app: AppId, procs: usize, scale: f64) -> (u64, u64, f64) {
-    speedup_stored(cfg, app, procs, scale, None)
-}
-
-/// [`speedup`] reading through an on-disk result store: both endpoints
-/// are consulted before simulating and written back after (see
-/// [`crate::store`]), so a repeated Fig. 5 row costs two lookups.
-pub fn speedup_stored(
-    cfg: &SysConfig,
-    app: AppId,
-    procs: usize,
-    scale: f64,
-    store: Option<&Store>,
-) -> (u64, u64, f64) {
-    let mut uni = SysConfig { nodes: 1, ..*cfg };
-    // A 1-node ring would be degenerate; the uniprocessor baseline has
-    // no network at all.
-    uni.ring.channels = 0;
-    let par = SysConfig {
-        nodes: procs,
-        ..*cfg
-    };
-    let sweep = Sweep::from_points(vec![
-        SweepPoint::new(uni, app, scale),
-        SweepPoint::new(par, app, scale),
-    ]);
-    let result = sweep.run_stored(default_jobs(), &NoopObserver, store);
-    let (t1, tp) = (result.runs[0].report.cycles, result.runs[1].report.cycles);
-    (t1, tp, t1 as f64 / tp as f64)
-}
-
 /// Runs `app` across a set of configurations (e.g., the four
 /// architectures) in parallel and returns the reports in input order.
+/// Each configuration runs its own node count's workload, as a sweep
+/// cell does, on every host core.
 pub fn compare<'a>(
     cfgs: impl IntoIterator<Item = &'a SysConfig>,
     app: AppId,
-    procs: usize,
     scale: f64,
 ) -> Vec<RunReport> {
-    compare_stored(cfgs, app, procs, scale, None)
-}
-
-/// [`compare`] reading through an on-disk result store. Unlike the
-/// sweep path, the workload's processor count is the caller's `procs`
-/// (not each config's node count), so the cell key is built from the
-/// exact `(config, workload)` pair simulated.
-pub fn compare_stored<'a>(
-    cfgs: impl IntoIterator<Item = &'a SysConfig>,
-    app: AppId,
-    procs: usize,
-    scale: f64,
-    store: Option<&Store>,
-) -> Vec<RunReport> {
-    let cfgs: Vec<SysConfig> = cfgs.into_iter().copied().collect();
-    par_map(cfgs, default_jobs(), |_, c| {
-        let wl = Workload::new(app, procs).scale(scale);
-        if let Some(st) = store {
-            let key = cell_key(&c, &wl);
-            if let Ok(report) = st.load(key) {
-                return report;
-            }
-            let report = run_app(&c, &wl);
-            st.save(
-                key,
-                &format!("compare/{}/{}", c.arch.name(), app.name()),
-                &wl,
-                &report,
-            );
-            return report;
-        }
-        run_app(&c, &wl)
-    })
+    let points = cfgs
+        .into_iter()
+        .map(|&cfg| SweepPoint::new(cfg, app, scale))
+        .collect();
+    let jobs = std::thread::available_parallelism().map_or(1, |p| p.get());
+    Sweep::from_points(points)
+        .run(jobs)
+        .runs
+        .into_iter()
+        .map(|r| r.report)
+        .collect()
 }
 
 #[cfg(test)]
@@ -111,20 +47,12 @@ mod tests {
     }
 
     #[test]
-    fn speedup_is_positive() {
-        let cfg = SysConfig::base(Arch::NetCache).with_nodes(4);
-        let (t1, tp, s) = speedup(&cfg, AppId::Sor, 4, 0.02);
-        assert!(t1 > 0 && tp > 0);
-        assert!(s > 1.0, "4-node SOR speedup {s:.2}");
-    }
-
-    #[test]
     fn compare_returns_all_systems() {
         let cfgs: Vec<SysConfig> = Arch::ALL
             .iter()
             .map(|&a| SysConfig::base(a).with_nodes(2))
             .collect();
-        let rs = compare(cfgs.iter(), AppId::Fft, 2, 0.02);
+        let rs = compare(cfgs.iter(), AppId::Fft, 0.02);
         assert_eq!(rs.len(), 4);
         assert_eq!(rs[0].arch, "NetCache");
         assert_eq!(rs[3].arch, "DMON-I");

@@ -3,7 +3,7 @@
 //!
 //! Every engine pass so far made the grid cheaper to *simulate*; this
 //! module makes it cheap to *not* simulate. A `sweep`/`compare`/
-//! `speedup` invocation recomputes cells whose inputs have not changed
+//! `figures` invocation recomputes cells whose inputs have not changed
 //! since the last run — the dominant cost of the day-to-day workflow
 //! once the engine itself is event-bound. The store memoizes each cell
 //! on disk, keyed by a digest of everything that could alter its

@@ -10,14 +10,14 @@
 //! This module is the one substrate all experiment drivers go through:
 //!
 //! * [`SweepSpec`] — a typed builder for the grid axes (arch, app, node
-//!   count, input scale, ring/L2 size overrides);
+//!   count, input scale, ring size, topology);
 //! * [`Sweep`] — the resolved point list; [`Sweep::run`] fans the points
-//!   out over a scoped worker pool, [`Sweep::run_serial`] is the
-//!   single-threaded fallback the property tests compare against;
+//!   out over a scoped worker pool, and `run(1)` runs them inline on the
+//!   caller's thread, the pool-free reference the property tests
+//!   compare against;
 //! * [`SweepResult`] — reports in **grid order** (never completion
 //!   order) with per-run wall times, plus JSON/CSV emission;
-//! * [`par_map`] — the underlying generic ordered parallel map, reused
-//!   by `runner::compare`/`runner::speedup` and the bench harness.
+//! * [`par_map_with`] — the underlying generic ordered parallel map.
 //!
 //! ## Why determinism survives parallel execution
 //!
@@ -25,7 +25,7 @@
 //! protocol state, RNG seeded from `SysConfig::seed`); threads share
 //! nothing but the work queue and the output slots. A sweep's reports
 //! are therefore bit-identical however the points are scheduled — which
-//! [`Sweep::run_serial`] lets tests assert directly.
+//! comparing `run(j)` against `run(1)` lets tests assert directly.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 
 use netcache_apps::{AppId, Workload};
 
-use crate::config::{Arch, ChannelAssoc, Replacement, RingConfig, SysConfig, TopoKind};
+use crate::config::{Arch, RingConfig, SysConfig, TopoKind};
 use crate::json;
 use crate::machine::{run_workload, EngineScratch};
 use crate::metrics::RunReport;
@@ -107,8 +107,8 @@ impl SweepPoint {
 /// Axes default to a single value (the paper's base machine: NetCache,
 /// 16 nodes, scale 0.1) so a spec only names what it varies. Points are
 /// generated in a fixed nested order — arch outermost, then app, nodes,
-/// scale, ring override, L2 override, topology innermost — and
-/// [`SweepResult`] preserves it.
+/// scale, ring override, topology innermost — and [`SweepResult`]
+/// preserves it.
 ///
 /// ```
 /// use netcache_core::sweep::SweepSpec;
@@ -133,13 +133,6 @@ pub struct SweepSpec {
     scales: Vec<f64>,
     /// Ring-size override axis in KB (`None` = keep the arch's base ring).
     ring_kb: Vec<Option<u64>>,
-    /// L2-size override axis in KB (`None` = base 16 KB).
-    l2_kb: Vec<Option<u64>>,
-    replacement: Option<Replacement>,
-    assoc: Option<ChannelAssoc>,
-    mem_latency: Option<u64>,
-    /// Per-app scale policy; overrides the `scales` axis when set.
-    scale_for: Option<fn(AppId) -> f64>,
     /// Topology axis: `(kind, rings)` pairs (`rings` is meaningful for
     /// multi-ring only and must be 1 otherwise).
     topos: Vec<(TopoKind, usize)>,
@@ -161,11 +154,6 @@ impl SweepSpec {
             nodes: vec![16],
             scales: vec![0.1],
             ring_kb: vec![None],
-            l2_kb: vec![None],
-            replacement: None,
-            assoc: None,
-            mem_latency: None,
-            scale_for: None,
             topos: vec![(TopoKind::Single, 1)],
         }
     }
@@ -190,11 +178,6 @@ impl SweepSpec {
         self
     }
 
-    /// All twelve applications.
-    pub fn all_apps(self) -> Self {
-        self.apps(AppId::ALL)
-    }
-
     /// Node-count axis.
     pub fn nodes(mut self, nodes: impl IntoIterator<Item = usize>) -> Self {
         self.nodes = nodes.into_iter().collect();
@@ -212,43 +195,11 @@ impl SweepSpec {
         self.scales([s])
     }
 
-    /// Per-application scale policy (e.g. the bench harness's per-app
-    /// defaults); overrides the scale axis.
-    pub fn scale_for(mut self, f: fn(AppId) -> f64) -> Self {
-        self.scale_for = Some(f);
-        self
-    }
-
     /// Ring shared-cache size axis in KB (Figs. 8–10; 0 disables the
     /// ring). Varies NetCache only — the other architectures have no
     /// ring, so they keep one base cell rather than duplicating.
     pub fn ring_kb(mut self, kbs: impl IntoIterator<Item = u64>) -> Self {
         self.ring_kb = kbs.into_iter().map(Some).collect();
-        self
-    }
-
-    /// L2 size axis in KB (Fig. 13).
-    pub fn l2_kb(mut self, kbs: impl IntoIterator<Item = u64>) -> Self {
-        self.l2_kb = kbs.into_iter().map(Some).collect();
-        self
-    }
-
-    /// Fixed ring replacement policy override (Fig. 12 runs one spec per
-    /// policy).
-    pub fn replacement(mut self, r: Replacement) -> Self {
-        self.replacement = Some(r);
-        self
-    }
-
-    /// Fixed ring channel-associativity override (Fig. 11).
-    pub fn assoc(mut self, a: ChannelAssoc) -> Self {
-        self.assoc = Some(a);
-        self
-    }
-
-    /// Fixed memory-latency override (Fig. 15).
-    pub fn mem_latency(mut self, lat: u64) -> Self {
-        self.mem_latency = Some(lat);
         self
     }
 
@@ -259,11 +210,6 @@ impl SweepSpec {
     /// [`SysConfig::validate`].
     pub fn build(self) -> Sweep {
         assert!(!self.apps.is_empty(), "sweep needs at least one app");
-        let scales: Vec<f64> = if self.scale_for.is_some() {
-            vec![f64::NAN] // placeholder; replaced per app below
-        } else {
-            self.scales.clone()
-        };
         let mut points = Vec::new();
         let base_ring = [None];
         for &arch in &self.archs {
@@ -277,34 +223,16 @@ impl SweepSpec {
             };
             for &app in &self.apps {
                 for &nodes in &self.nodes {
-                    for &scale in &scales {
+                    for &scale in &self.scales {
                         for &ring in ring_axis {
-                            for &l2 in &self.l2_kb {
-                                for &(kind, rings) in &self.topos {
-                                    let mut cfg = SysConfig::base(arch).with_nodes(nodes);
-                                    if let Some(kb) = ring {
-                                        cfg = cfg.with_ring_kb(kb);
-                                    }
-                                    if let Some(kb) = l2 {
-                                        cfg = cfg.with_l2_kb(kb);
-                                    }
-                                    if let Some(r) = self.replacement {
-                                        cfg = cfg.with_replacement(r);
-                                    }
-                                    if let Some(a) = self.assoc {
-                                        cfg = cfg.with_assoc(a);
-                                    }
-                                    if let Some(lat) = self.mem_latency {
-                                        cfg = cfg.with_mem_latency(lat);
-                                    }
-                                    cfg = cfg.with_topology(kind).with_rings(rings);
-                                    cfg.validate().expect("sweep produced invalid config");
-                                    let scale = match self.scale_for {
-                                        Some(f) => f(app),
-                                        None => scale,
-                                    };
-                                    points.push(SweepPoint::new(cfg, app, scale));
+                            for &(kind, rings) in &self.topos {
+                                let mut cfg = SysConfig::base(arch).with_nodes(nodes);
+                                if let Some(kb) = ring {
+                                    cfg = cfg.with_ring_kb(kb);
                                 }
+                                cfg = cfg.with_topology(kind).with_rings(rings);
+                                cfg.validate().expect("sweep produced invalid config");
+                                points.push(SweepPoint::new(cfg, app, scale));
                             }
                         }
                     }
@@ -426,52 +354,6 @@ impl Sweep {
             jobs: jobs.clamp(1, total.max(1)),
         }
     }
-
-    /// Single-threaded reference execution: identical semantics, no
-    /// worker pool at all. The property tests assert `run_serial()` and
-    /// `run(j)` produce bit-identical reports.
-    pub fn run_serial(&self) -> SweepResult {
-        self.run_serial_stored(None)
-    }
-
-    /// [`Sweep::run_serial`] reading through an on-disk result store
-    /// (same consult/write-back contract as [`Sweep::run_stored`]).
-    pub fn run_serial_stored(&self, store: Option<&Store>) -> SweepResult {
-        let t0 = Instant::now();
-        let mut scratch = EngineScratch::new();
-        let runs = self
-            .points
-            .iter()
-            .map(|p| {
-                let rt0 = Instant::now();
-                let (report, cached) = match store.map(|st| st.load_point(p)) {
-                    Some(Ok(report)) => (report, true),
-                    _ => {
-                        let report = p.run_with(&mut scratch);
-                        if let Some(st) = store {
-                            st.save_point(p, &report);
-                        }
-                        (report, false)
-                    }
-                };
-                SweepRun {
-                    label: p.label.clone(),
-                    arch: report.arch,
-                    app: p.app,
-                    nodes: p.cfg.nodes,
-                    scale: p.scale,
-                    wall: rt0.elapsed(),
-                    report,
-                    cached,
-                }
-            })
-            .collect();
-        SweepResult {
-            runs,
-            wall: t0.elapsed(),
-            jobs: 1,
-        }
-    }
 }
 
 /// One completed cell.
@@ -510,11 +392,6 @@ pub struct SweepResult {
 }
 
 impl SweepResult {
-    /// The reports alone, in grid order.
-    pub fn reports(&self) -> Vec<&RunReport> {
-        self.runs.iter().map(|r| &r.report).collect()
-    }
-
     /// How many cells were served from the result store.
     pub fn cached_cells(&self) -> usize {
         self.runs.iter().filter(|r| r.cached).count()
@@ -593,7 +470,7 @@ impl SweepResult {
             let links = rep
                 .links
                 .iter()
-                .map(|(n, f, b)| format!("[\"{}\", {f}, {b}]", json_escape(n)))
+                .map(|(n, f, b)| format!("[\"{}\", {f}, {b}]", json::escape(n)))
                 .collect::<Vec<_>>()
                 .join(", ");
             out.push_str(&format!(
@@ -605,9 +482,9 @@ impl SweepResult {
                  \"wall_ms\": {:.3}, \"events_per_sec\": {:.0}, \
                  \"ops_per_sec\": {:.0}, \"elided_ops\": {}, \
                  \"orphans_dropped\": {}, \"links\": [{links}]}}{comma}\n",
-                json_escape(&r.label),
-                json_escape(r.arch),
-                json_escape(r.app.name()),
+                json::escape(&r.label),
+                json::escape(r.arch),
+                json::escape(r.app.name()),
                 r.nodes,
                 r.scale,
                 rep.cycles,
@@ -633,12 +510,6 @@ impl SweepResult {
         ));
         out
     }
-}
-
-/// String escaping for the JSON emitters — the shared RFC 8259
-/// machinery in [`crate::json`].
-fn json_escape(s: &str) -> String {
-    json::escape(s)
 }
 
 /// Observer hooks on the worker pool. Implementations must be `Sync`:
@@ -703,25 +574,6 @@ impl SweepObserver for StderrProgress {
     }
 }
 
-/// Ordered parallel map over owned items: applies `f(index, item)` on a
-/// pool of `jobs` scoped threads and returns outputs in **input order**,
-/// regardless of completion order. `jobs <= 1` (or a single item) runs
-/// inline on the caller's thread with no pool at all.
-///
-/// This is the workspace's only threading primitive; `crossbeam::scope`'s
-/// role is covered by [`std::thread::scope`] (stable since Rust 1.63).
-///
-/// # Panics
-/// Propagates the first worker panic after the scope joins.
-pub fn par_map<I, O, F>(items: Vec<I>, jobs: usize, f: F) -> Vec<O>
-where
-    I: Send,
-    O: Send,
-    F: Fn(usize, I) -> O + Sync,
-{
-    par_map_with(items, jobs, || (), |(), i, x| f(i, x))
-}
-
 /// Locks `m`, recovering the payload from a poisoned mutex. Poisoning
 /// here only ever means "some worker panicked while this sweep was in
 /// flight"; the data under the lock is a plain slot (an `Option` being
@@ -734,14 +586,19 @@ fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// [`par_map`] with per-worker state: every worker thread builds one `S`
-/// via `init()` when it starts and threads it through each `f` call it
-/// executes. The sweep engine uses this to reuse engine allocations
-/// ([`EngineScratch`]) across the cells a worker runs — state never
-/// crosses threads, so determinism is untouched.
+/// Ordered parallel map over owned items with per-worker state: applies
+/// `f(state, index, item)` on a pool of `jobs` scoped threads and returns
+/// outputs in **input order**, regardless of completion order. Every
+/// worker thread builds one `S` via `init()` when it starts and threads
+/// it through each `f` call it executes. The sweep engine uses this to
+/// reuse engine allocations ([`EngineScratch`]) across the cells a worker
+/// runs — state never crosses threads, so determinism is untouched.
 ///
 /// With `jobs <= 1` (or a single item) everything runs inline on the
-/// caller's thread with a single state.
+/// caller's thread with a single state, and no pool at all.
+///
+/// This is the workspace's only threading primitive; `crossbeam::scope`'s
+/// role is covered by [`std::thread::scope`] (stable since Rust 1.63).
 ///
 /// # Panics
 /// Propagates the **first** worker panic — with its original payload,
@@ -831,13 +688,18 @@ mod tests {
     fn par_map_returns_input_order() {
         // Make later items finish first: earlier items spin longest.
         let items: Vec<u64> = (0..32).collect();
-        let out = par_map(items, 8, |i, x| {
-            let mut acc = 0u64;
-            for k in 0..(32 - i as u64) * 10_000 {
-                acc = acc.wrapping_add(k);
-            }
-            (x * 2, acc)
-        });
+        let out = par_map_with(
+            items,
+            8,
+            || (),
+            |(), i, x| {
+                let mut acc = 0u64;
+                for k in 0..(32 - i as u64) * 10_000 {
+                    acc = acc.wrapping_add(k);
+                }
+                (x * 2, acc)
+            },
+        );
         for (i, (v, _)) in out.iter().enumerate() {
             assert_eq!(*v, i as u64 * 2);
         }
@@ -920,8 +782,11 @@ mod tests {
     #[test]
     fn par_map_empty_and_single() {
         let empty: Vec<u32> = Vec::new();
-        assert!(par_map(empty, 4, |_, x: u32| x).is_empty());
-        assert_eq!(par_map(vec![7u32], 4, |_, x| x + 1), vec![8]);
+        assert!(par_map_with(empty, 4, || (), |(), _, x: u32| x).is_empty());
+        assert_eq!(
+            par_map_with(vec![7u32], 4, || (), |(), _, x| x + 1),
+            vec![8]
+        );
     }
 
     #[test]
@@ -977,6 +842,30 @@ mod tests {
     }
 
     #[test]
+    fn every_axis_crossed_yields_unique_labels() {
+        // Every axis a spec can vary, crossed with every other: each
+        // generated cell must carry its own label, or CSV/JSON rows
+        // cannot be told apart.
+        let sweep = SweepSpec::new()
+            .archs(Arch::ALL)
+            .apps([AppId::Sor, AppId::Fft])
+            .nodes([4, 8])
+            .scales([0.01, 0.02])
+            .ring_kb([0, 16, 32, 64])
+            .topologies([
+                (TopoKind::Single, 1),
+                (TopoKind::MultiRing, 2),
+                (TopoKind::StarOfRings, 1),
+            ])
+            .build();
+        // NetCache crosses the ring axis; the baselines keep one ring.
+        assert_eq!(sweep.points().len(), (4 + 3) * 2 * 2 * 2 * 3);
+        let labels: std::collections::HashSet<&str> =
+            sweep.points().iter().map(|p| p.label.as_str()).collect();
+        assert_eq!(labels.len(), sweep.points().len(), "duplicate labels");
+    }
+
+    #[test]
     fn parallel_equals_serial_small_grid() {
         let sweep = SweepSpec::new()
             .archs([Arch::NetCache, Arch::DmonI])
@@ -985,7 +874,7 @@ mod tests {
             .scale(0.01)
             .build();
         let par = sweep.run(4);
-        let ser = sweep.run_serial();
+        let ser = sweep.run(1);
         assert_eq!(par.runs.len(), ser.runs.len());
         for (a, b) in par.runs.iter().zip(ser.runs.iter()) {
             assert_eq!(a.label, b.label);
@@ -1014,7 +903,7 @@ mod tests {
             .nodes([2])
             .scale(0.01)
             .build();
-        let res = sweep.run_serial();
+        let res = sweep.run(1);
         let csv = res.to_csv();
         assert_eq!(csv.lines().count(), 2);
         assert!(csv.starts_with("label,arch,app,"));
@@ -1112,7 +1001,7 @@ mod tests {
             .nodes([2])
             .scale(0.01)
             .build();
-        let mut res = sweep.run_serial();
+        let mut res = sweep.run(1);
         // Adversarial label: quote, backslash, newline, and a raw control
         // character. Pre-escaping, any of these makes the document
         // unparseable (or silently truncates the string).

@@ -27,8 +27,7 @@ fn main() {
     // out across host cores through the sweep engine and returns the
     // reports in `Arch::ALL` order.
     let cfgs: Vec<SysConfig> = Arch::ALL.iter().map(|&a| SysConfig::base(a)).collect();
-    let nodes = cfgs[0].nodes;
-    let reports = compare(cfgs.iter(), app, nodes, scale);
+    let reports = compare(cfgs.iter(), app, scale);
     let base = reports[0].cycles;
     for r in &reports {
         println!(

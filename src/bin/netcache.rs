@@ -3,7 +3,8 @@
 //! ```text
 //! netcache run <app> [--arch A] [--scale S] [--procs P] [--ring-kb K]
 //!                    [--topology T] [--rings C]
-//! netcache compare <app> [--scale S] [--procs P] [--store DIR]
+//! netcache compare <app> [--scale S] [--procs P] [--ring-kb K]
+//!                        [--topology T] [--rings C] [--store DIR]
 //! netcache sweep [apps...] [--archs A,B|all] [--jobs N] [--scale S]
 //!                [--procs P] [--ring-kbs K,K,...] [--topology T] [--rings C]
 //!                [--json F] [--csv F]
@@ -11,6 +12,8 @@
 //! netcache trace <app> <dir> [--scale S] [--procs P]   # dump op streams
 //! netcache replay <dir> [--arch A] [--procs P]         # run dumped traces
 //! netcache profile <app> [--scale S] [--procs P]       # stream statistics
+//! netcache figures [FIG...] [--jobs N] [--quiet] [--store DIR|--no-store]
+//!                  [--json F]                           # the paper's evaluation
 //! ```
 //!
 //! Architectures: `netcache` (default), `lambdanet`, `dmon-u`, `dmon-i`.
@@ -26,7 +29,17 @@
 //! in grid order and are bit-identical to a `--serial` run; see
 //! DESIGN.md on why determinism survives parallel execution.
 //!
-//! `--store DIR` points `sweep`/`compare` at a content-addressed on-disk
+//! `compare` runs the four architectures on the machine `sweep` would
+//! build: `--ring-kb` sizes NetCache's ring, and the fabric flags apply to
+//! all four.
+//!
+//! `figures` regenerates the paper's tables and figures (all of them, or
+//! the ones named, e.g. `fig6 fig15`), running every distinct cell once
+//! as one sweep, then checks each verdict EXPERIMENTS.md records: it
+//! exits 1 naming any ✅ claim that fails. Each figure fixes its own
+//! machines and workloads, so a flag that shapes either exits 2.
+//!
+//! `--store DIR` points `sweep`/`compare`/`figures` at a content-addressed on-disk
 //! result store: cells already present (same config, workload, and
 //! engine version) are served from disk instead of re-simulated, and
 //! freshly computed cells are written back — so an interrupted sweep
@@ -41,7 +54,8 @@
 //! (`trace::check_contract`), naming the file and the op index.
 //!
 //! Every file this CLI writes (`trace`'s traces, `sweep`'s `--json`
-//! and `--csv`) exits 2 naming the path if it cannot be written.
+//! and `--csv`, `figures`' `--json`) exits 2 naming the path if it cannot
+//! be written.
 //!
 //! `--scale` must lie in (0, 1]. `run`, `compare` and `sweep` validate
 //! every machine they will simulate before the first run: one the engine
@@ -55,9 +69,11 @@ use std::path::PathBuf;
 use std::process::exit;
 
 use netcache::apps::{trace, AppId, Op, Workload};
+use netcache::figures::{self, Verdicts};
 use netcache::mem::AddressMap;
-use netcache::sweep::{NoopObserver, StderrProgress, SweepObserver, SweepSpec};
+use netcache::sweep::{NoopObserver, StderrProgress, SweepObserver, SweepResult, SweepSpec};
 use netcache::{run_app, run_streams, Arch, EngineScratch, Store, SysConfig, TopoKind};
+use netcache::{Sweep, SweepPoint};
 
 struct Args {
     positional: Vec<String>,
@@ -80,17 +96,23 @@ struct Args {
     /// it).
     store: Option<String>,
     no_store: bool,
+    /// Every flag given, in order.
+    flags: Vec<String>,
 }
+
+/// The flags `figures` takes: none of them shapes a machine or workload.
+const FIGURES_FLAGS: [&str; 5] = ["--jobs", "--quiet", "--store", "--no-store", "--json"];
 
 fn usage() -> ! {
     eprintln!(
-        "usage: netcache <run|compare|sweep|trace|replay|profile> ... \
+        "usage: netcache <run|compare|sweep|trace|replay|profile|figures> ... \
          [--arch netcache|lambdanet|dmon-u|dmon-i] [--scale S] [--procs P] [--ring-kb K] \
          [--topology single|multi-ring|star-of-rings] [--rings C]\n\
          sweep flags: [--archs A,B|all] [--jobs N] [--ring-kbs K,K,...] \
          [--json FILE] [--csv FILE] [--serial] [--quiet] [--store DIR|--no-store]\n\
-         --store DIR caches results on disk (sweep/compare serve cached cells); \
-         --no-store forces recomputation"
+         --store DIR caches results on disk (sweep/compare/figures serve cached cells); \
+         --no-store forces recomputation\n\
+         figures [FIG...] takes only --jobs, --quiet, --store, --no-store, --json"
     );
     exit(2)
 }
@@ -160,9 +182,13 @@ fn parse_args() -> Args {
         quiet: false,
         store: None,
         no_store: false,
+        flags: Vec::new(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
+        if a.starts_with("--") {
+            args.flags.push(a.clone());
+        }
         let mut grab = |name: &str| {
             it.next().unwrap_or_else(|| {
                 eprintln!("missing value for {name}");
@@ -306,6 +332,47 @@ fn check_machines(args: &Args, cfgs: &[SysConfig]) {
     fail(format!("invalid machine ({flags}): {e}"))
 }
 
+/// Worker threads for a sweep: 1 with `--serial`, else `--jobs`,
+/// defaulting to every host core.
+fn jobs(args: &Args) -> usize {
+    if args.serial {
+        return 1;
+    }
+    args.jobs
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
+}
+
+/// The progress observer: one stderr line per cell unless `--quiet`.
+fn observer(args: &Args) -> &'static dyn SweepObserver {
+    if args.quiet {
+        &NoopObserver
+    } else {
+        &StderrProgress
+    }
+}
+
+/// Prints a sweep's run count and wall time, and the store's summary
+/// line if a store was used. `invalidated` counts records that were
+/// present but unusable (corrupt, stale engine salt, digest mismatch)
+/// and therefore recomputed and overwritten.
+fn print_totals(store: Option<&Store>, result: &SweepResult) {
+    println!(
+        "\n{} runs on {} worker(s): {:.2} s wall",
+        result.runs.len(),
+        result.jobs,
+        result.wall.as_secs_f64()
+    );
+    if let Some(st) = store {
+        println!(
+            "store {}: cached {} / computed {} / invalidated {}",
+            st.dir().display(),
+            result.cached_cells(),
+            result.computed_cells(),
+            st.stats().invalidated
+        );
+    }
+}
+
 /// Prints `what` and exits 2: the CLI's answer to bad input.
 fn fail(what: String) -> ! {
     eprintln!("{what}");
@@ -424,17 +491,22 @@ fn main() {
                     .map(String::as_str)
                     .unwrap_or_else(|| usage()),
             );
-            // All four systems run concurrently through the sweep engine.
+            // All four systems run concurrently through the sweep engine,
+            // on the machines `sweep` builds: the ring size is NetCache's.
             let cfgs: Vec<SysConfig> = Arch::ALL
                 .iter()
-                .map(|&a| SysConfig::base(a).with_nodes(args.procs))
+                .map(|&a| machine(&args, a, args.ring_kb.filter(|_| a == Arch::NetCache)))
                 .collect();
             check_machines(&args, &cfgs);
             let store = open_store(&args);
-            let reports =
-                netcache::compare_stored(cfgs.iter(), app, args.procs, args.scale, store.as_ref());
-            let base = reports[0].cycles;
-            for r in &reports {
+            let points = cfgs
+                .into_iter()
+                .map(|c| SweepPoint::new(c, app, args.scale))
+                .collect();
+            let result =
+                Sweep::from_points(points).run_stored(jobs(&args), &NoopObserver, store.as_ref());
+            let base = result.runs[0].report.cycles;
+            for r in result.runs.iter().map(|r| &r.report) {
                 println!(
                     "{:<10} {:>12} cycles  {:>6.2}x",
                     r.arch,
@@ -480,22 +552,8 @@ fn main() {
                 spec = spec.topologies([(cfgs[0].topo.kind, cfgs[0].topo.rings)]);
             }
             let sweep = spec.build();
-            let jobs = args.jobs.unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(1)
-            });
             let store = open_store(&args);
-            let result = if args.serial {
-                sweep.run_serial_stored(store.as_ref())
-            } else {
-                let obs: &dyn SweepObserver = if args.quiet {
-                    &NoopObserver
-                } else {
-                    &StderrProgress
-                };
-                sweep.run_stored(jobs, obs, store.as_ref())
-            };
+            let result = sweep.run_stored(jobs(&args), observer(&args), store.as_ref());
             println!(
                 "{:<32} {:>14} {:>10} {:>10}",
                 "cell", "cycles", "sc-hit %", "wall ms"
@@ -509,24 +567,7 @@ fn main() {
                     r.wall.as_secs_f64() * 1e3
                 );
             }
-            println!(
-                "\n{} runs on {} worker(s): {:.2} s wall",
-                result.runs.len(),
-                result.jobs,
-                result.wall.as_secs_f64()
-            );
-            if let Some(st) = &store {
-                // `invalidated` counts records that were present but
-                // unusable (corrupt, stale engine salt, digest mismatch)
-                // and therefore recomputed and overwritten.
-                println!(
-                    "store {}: cached {} / computed {} / invalidated {}",
-                    st.dir().display(),
-                    result.cached_cells(),
-                    result.computed_cells(),
-                    st.stats().invalidated
-                );
-            }
+            print_totals(store.as_ref(), &result);
             if let Some(path) = &args.json {
                 write_file("--json", path, result.to_json());
             }
@@ -604,6 +645,40 @@ fn main() {
                     prof.footprint_blocks
                 );
             }
+        }
+        "figures" => {
+            if let Some(f) = args
+                .flags
+                .iter()
+                .find(|f| !FIGURES_FLAGS.contains(&f.as_str()))
+            {
+                fail(format!(
+                    "figures takes no {f}: each figure fixes its own machines and workloads"
+                ))
+            }
+            let figs = figures::select(&args.positional[1..]).unwrap_or_else(|e| fail(e));
+            let store = open_store(&args);
+            let (tables, result) =
+                figures::run(&figs, jobs(&args), observer(&args), store.as_ref());
+            let mut verdicts = Verdicts::default();
+            for (fig, tables) in figs.iter().zip(&tables) {
+                for t in tables {
+                    println!("{}", t.render());
+                }
+                verdicts.judge(fig, tables);
+            }
+            println!();
+            for line in &verdicts.lines {
+                println!("{line}");
+            }
+            print_totals(store.as_ref(), &result);
+            if let Some(path) = &args.json {
+                write_file("--json", path, figures::to_json(&figs, &tables));
+            }
+            for name in &verdicts.failed {
+                eprintln!("✅ claim failed: {name}");
+            }
+            exit(verdicts.status())
         }
         _ => usage(),
     }

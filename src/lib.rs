@@ -33,4 +33,6 @@ pub use memsys as mem;
 pub use netcache_apps as apps;
 pub use optics;
 
+pub mod figures;
+
 pub use netcache_core::*;

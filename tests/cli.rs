@@ -1,6 +1,6 @@
 //! Adversarial CLI tests for the machine flags (`--procs`, `--ring-kb`,
-//! the topology flags), `--scale`, `trace`'s output and `replay`'s trace
-//! input.
+//! the topology flags), `--scale`, `trace`'s output, `replay`'s trace
+//! input and `figures`' figure names.
 //!
 //! The CLI's contract for bad input is exit code 2 with a diagnostic
 //! that **names the offending flag or file** — never a panic, never a
@@ -210,6 +210,125 @@ fn indivisible_node_count_exits_two_on_every_subcommand() {
             "{cmd}: blames --topology: {err}"
         );
     }
+}
+
+/// `compare` builds the machines `run` and `sweep` build: an oversized
+/// `--ring-kb` is rejected naming the limit, not dropped.
+#[test]
+fn compare_with_an_oversized_ring_exits_two_naming_the_limit() {
+    let args = ["compare", "fft", "--procs", "4", "--scale", "0.02"];
+    let out = netcache(&[&args[..], &["--ring-kb", "100000000"]].concat());
+    let err = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(2), "stderr: {err}");
+    assert!(err.contains("--ring-kb"), "flag not named: {err}");
+    assert!(err.contains("KB limit"), "limit not named: {err}");
+}
+
+/// `compare` honours the fabric flags: 128 channels do not split across
+/// 3 rings, so the machine is rejected naming the flags.
+#[test]
+fn compare_with_an_unsplittable_multi_ring_exits_two_naming_the_flags() {
+    let out = netcache(&[
+        "compare",
+        "fft",
+        "--procs",
+        "4",
+        "--scale",
+        "0.02",
+        "--topology",
+        "multi-ring",
+        "--rings",
+        "3",
+    ]);
+    let err = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(2), "stderr: {err}");
+    assert!(err.contains("--rings 3"), "flag not named: {err}");
+    assert!(
+        err.contains("3 rings"),
+        "not the validator's message: {err}"
+    );
+}
+
+/// `compare`'s NetCache row is the machine `run` simulates for the same
+/// flags, ring size included.
+#[test]
+fn compare_runs_netcache_with_the_requested_ring() {
+    let flags = ["--procs", "16", "--scale", "0.02", "--ring-kb", "64"];
+    let run = netcache(&[&["run", "fft"][..], &flags].concat());
+    assert_eq!(run.status.code(), Some(0), "stderr: {}", stderr_of(&run));
+    let run_out = stdout_of(&run);
+    let run_cycles = run_out
+        .split_whitespace()
+        .nth(1)
+        .expect("run prints `NetCache: <cycles> cycles`");
+    let cmp = netcache(&[&["compare", "fft"][..], &flags].concat());
+    assert_eq!(cmp.status.code(), Some(0), "stderr: {}", stderr_of(&cmp));
+    let cmp_out = stdout_of(&cmp);
+    let nc_cycles = cmp_out
+        .lines()
+        .find_map(|l| l.strip_prefix("NetCache"))
+        .and_then(|l| l.split_whitespace().next())
+        .expect("compare prints a NetCache row");
+    assert_eq!(
+        nc_cycles, run_cycles,
+        "compare:\n{cmp_out}\nrun:\n{run_out}"
+    );
+}
+
+/// An unknown figure exits 2 naming it and listing the valid names.
+#[test]
+fn figures_unknown_name_exits_two_listing_the_valid_ones() {
+    let out = netcache(&["figures", "fig6", "fig99"]);
+    let err = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(2), "stderr: {err}");
+    for name in ["fig99", "tables", "fig5", "fig15", "sec3.4", "summary"] {
+        assert!(err.contains(name), "{name} not named: {err}");
+    }
+}
+
+/// Each figure fixes its machines and workloads, so a flag that shapes
+/// either exits 2 naming the flag, before anything runs.
+#[test]
+fn figures_with_a_machine_flag_exits_two_naming_it() {
+    for flags in [
+        &["--procs", "4"][..],
+        &["--scale", "0.5"],
+        &["--arch", "dmon-i"],
+        &["--archs", "all"],
+        &["--ring-kb", "64"],
+        &["--ring-kbs", "16,32"],
+        &["--topology", "star-of-rings"],
+        &["--csv", "cells.csv"],
+        &["--serial"],
+    ] {
+        let out = netcache(&[&["figures", "tables"][..], flags].concat());
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "{flags:?}: stderr: {err}");
+        assert!(err.contains(flags[0]), "{flags:?}: flag not named: {err}");
+        assert!(stdout_of(&out).is_empty(), "{flags:?}: ran anyway");
+    }
+}
+
+/// The analytic tables need no simulation: they print the paper's
+/// totals, their claim holds, and the JSON document holds them.
+#[test]
+fn figures_tables_prints_the_paper_totals_and_exits_zero() {
+    let dir = scratch_dir("figures");
+    let json = dir.join("figures.json");
+    let out = netcache(&["figures", "tables", "--quiet", "--json", path_arg(&json)]);
+    let text = stdout_of(&out);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
+    for line in [
+        "=== table1_hit:",
+        "=== hardware_cost:",
+        "✅ holds",
+        "0 runs on",
+    ] {
+        assert!(text.contains(line), "{line:?} missing:\n{text}");
+    }
+    let doc = std::fs::read_to_string(&json).expect("figures wrote its JSON");
+    let doc = netcache::json::parse(&doc).expect("valid JSON");
+    assert!(doc.get("figures").is_some());
 }
 
 /// `replay` runs processor `p`'s trace on node `p`: at 16 processors a

@@ -2,6 +2,7 @@
 //! public facade, checking the paper's qualitative claims at small scale.
 
 use netcache::apps::{AppId, Workload};
+use netcache::figures::speedup_cells;
 use netcache::{run_app, run_streams, Arch, EngineScratch, SysConfig};
 
 const SCALE: f64 = 0.03;
@@ -111,10 +112,14 @@ fn invalidate_protocol_raises_miss_rates() {
 #[test]
 fn speedup_shape_matches_paper() {
     // Fig. 5: the machine parallelizes; Em3d is superlinear (terrible
-    // single-node cache behaviour).
-    let cfg = SysConfig::base(Arch::NetCache);
-    let (_, _, s_sor) = netcache::speedup(&cfg, AppId::Sor, 16, 0.03);
-    let (_, _, s_em3d) = netcache::speedup(&cfg, AppId::Em3d, 16, 0.1);
+    // single-node cache behaviour). Fig. 5's cells, at smaller scales.
+    let speedup = |app, scale| {
+        let cells = speedup_cells(SysConfig::base(Arch::NetCache), app, scale);
+        let runs = netcache::Sweep::from_points(cells.to_vec()).run(2).runs;
+        runs[0].report.cycles as f64 / runs[1].report.cycles as f64
+    };
+    let s_sor = speedup(AppId::Sor, 0.03);
+    let s_em3d = speedup(AppId::Em3d, 0.1);
     assert!(s_sor > 5.0, "sor speedup {s_sor}");
     assert!(s_em3d > 10.0, "em3d speedup {s_em3d}");
 }

@@ -7,9 +7,10 @@ use std::fs;
 use std::path::PathBuf;
 
 use netcache::apps::AppId;
+use netcache::figures::speedup_cells;
 use netcache::sweep::NoopObserver;
-use netcache::{compare_stored, point_key, speedup_stored, Arch, Store, SysConfig};
-use netcache::{Sweep, SweepSpec};
+use netcache::{point_key, Arch, Store, SysConfig};
+use netcache::{Sweep, SweepPoint, SweepSpec};
 
 /// A scratch store directory unique to this test process.
 fn scratch(tag: &str) -> PathBuf {
@@ -57,9 +58,9 @@ fn warm_sweep_serves_every_cell_bit_identically() {
             c.label
         );
     }
-    // The serial path reads the same store.
+    // The one-worker path reads the same store.
     let serial_store = Store::open(&dir).unwrap();
-    let serial = sweep.run_serial_stored(Some(&serial_store));
+    let serial = sweep.run_stored(1, &NoopObserver, Some(&serial_store));
     assert_eq!(serial.cached_cells(), serial.runs.len());
     let _ = fs::remove_dir_all(&dir);
 }
@@ -84,7 +85,7 @@ fn interrupted_sweep_resumes_and_matches_a_clean_serial_run() {
     assert_eq!(resumed.computed_cells(), full.points().len() - 3);
 
     // …and is bit-identical to a storeless serial run of the whole grid.
-    let clean = full.run_serial();
+    let clean = full.run(1);
     for (r, c) in resumed.runs.iter().zip(&clean.runs) {
         assert_eq!(r.label, c.label);
         assert_eq!(r.report, c.report, "resumed report differs for {}", r.label);
@@ -123,31 +124,44 @@ fn corrupted_cell_is_recomputed_and_healed_in_place() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// The reports of `points`, run as one sweep through `store`.
+fn stored_reports(points: Vec<SweepPoint>, store: &Store) -> Vec<netcache::RunReport> {
+    let result = Sweep::from_points(points).run_stored(2, &NoopObserver, Some(store));
+    result.runs.into_iter().map(|r| r.report).collect()
+}
+
 #[test]
 fn compare_and_speedup_read_through_the_store() {
+    // `netcache compare`'s four cells and Fig. 5's two cells read through
+    // the store like any sweep's.
     let dir = scratch("readthrough");
     let cfgs: Vec<SysConfig> = Arch::ALL
         .iter()
         .map(|&a| SysConfig::base(a).with_nodes(2))
         .collect();
+    let compare_cells = || {
+        cfgs.iter()
+            .map(|&c| SweepPoint::new(c, AppId::Gauss, 0.02))
+            .collect::<Vec<_>>()
+    };
 
     let store = Store::open(&dir).unwrap();
-    let cold = compare_stored(cfgs.iter(), AppId::Gauss, 2, 0.02, Some(&store));
+    let cold = stored_reports(compare_cells(), &store);
     assert_eq!(store.stats().hits, 0);
 
     let warm_store = Store::open(&dir).unwrap();
-    let warm = compare_stored(cfgs.iter(), AppId::Gauss, 2, 0.02, Some(&warm_store));
+    let warm = stored_reports(compare_cells(), &warm_store);
     assert_eq!(warm_store.stats().hits, cfgs.len() as u64);
     assert_eq!(cold, warm, "warm compare differs from cold");
     // And the storeless path agrees with both.
-    assert_eq!(cold, netcache::compare(cfgs.iter(), AppId::Gauss, 2, 0.02));
+    assert_eq!(cold, netcache::compare(cfgs.iter(), AppId::Gauss, 0.02));
 
     let cfg = SysConfig::base(Arch::NetCache).with_nodes(4);
+    let fig5 = || speedup_cells(cfg, AppId::Sor, 0.02).to_vec();
     let speedup_dir = scratch("readthrough-speedup");
-    let sp_store = Store::open(&speedup_dir).unwrap();
-    let cold_sp = speedup_stored(&cfg, AppId::Sor, 4, 0.02, Some(&sp_store));
+    let cold_sp = stored_reports(fig5(), &Store::open(&speedup_dir).unwrap());
     let sp_warm_store = Store::open(&speedup_dir).unwrap();
-    let warm_sp = speedup_stored(&cfg, AppId::Sor, 4, 0.02, Some(&sp_warm_store));
+    let warm_sp = stored_reports(fig5(), &sp_warm_store);
     assert_eq!(sp_warm_store.stats().hits, 2, "both endpoints should hit");
     assert_eq!(cold_sp, warm_sp, "warm speedup differs from cold");
     let _ = fs::remove_dir_all(&dir);

@@ -60,7 +60,7 @@ fn parallel_sweep_equals_serial_on_random_grids() {
     check(8, |rng| {
         let sweep = arb_spec(rng).build();
         let jobs = 2 + rng.below(6) as usize;
-        let serial = sweep.run_serial();
+        let serial = sweep.run(1);
         let parallel = sweep.run(jobs);
         assert_eq!(serial.runs.len(), parallel.runs.len());
         for (s, p) in serial.runs.iter().zip(&parallel.runs) {
@@ -106,7 +106,7 @@ fn sweep_output_order_matches_grid_order_under_reversed_durations() {
 
     // And the reordering really was exercised: the slowest cell is the
     // first one, so under 4 workers it cannot have finished first.
-    let serial = sweep.run_serial();
+    let serial = sweep.run(1);
     for (s, p) in serial.runs.iter().zip(&result.runs) {
         assert_eq!(s.report, p.report);
     }
