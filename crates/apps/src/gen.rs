@@ -69,11 +69,6 @@ impl Alloc {
     pub fn private(&mut self, p: usize, n: u64, elem: u64) -> Addr {
         Self::bump(&mut self.private_next[p], n * elem)
     }
-
-    /// Total shared bytes allocated so far.
-    pub fn shared_bytes(&self) -> u64 {
-        self.shared_next - addr::SHARED_BASE
-    }
 }
 
 /// The macro-op storage one refill may hold, per processor: 32 KiB.

@@ -80,8 +80,8 @@ pub enum ChannelAssoc {
     Direct,
 }
 
-/// Which interconnect fabric to build (ROADMAP item 3; the concrete
-/// implementations live in [`crate::topology`]).
+/// Which interconnect fabric to build (its shape, timing and link
+/// ledger live in [`crate::topology`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TopoKind {
     /// The paper's fabric: one star coupler + one cache ring.

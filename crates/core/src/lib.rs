@@ -52,4 +52,4 @@ pub use ring::{RingCache, RingLookup, RingStats};
 pub use runner::{compare, run_app};
 pub use store::{cell_key, point_key, Store, StoreStats};
 pub use sweep::{Sweep, SweepPoint, SweepResult, SweepRun, SweepSpec};
-pub use topology::{Fabric, LinkCounters, Topology};
+pub use topology::Fabric;

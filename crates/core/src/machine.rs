@@ -24,7 +24,7 @@ use netcache_apps::{MacroOp, Nest, Op, OpStream, Slot, Workload};
 
 use crate::config::SysConfig;
 use crate::metrics::{NodeStats, RunReport};
-use crate::proto::{ElisionPolicy, Node, Protocol, ReadKind};
+use crate::proto::{Node, Protocol, ReadKind};
 
 /// Cap on how far a processor may run ahead within one event, to keep
 /// cross-processor resource contention honest.
@@ -103,7 +103,9 @@ struct ElideEnv<'a> {
     pace: u64,
     retiring: bool,
     p: usize,
-    policy: ElisionPolicy,
+    /// Reads that hit node-private state may retire inline (see
+    /// `Machine::elide_read_hits`).
+    elide_read_hits: bool,
     /// Batch segmentation granularity: the finest private line size
     /// (L1 lines may be smaller than the coherence block), so a segment
     /// never spans two L1 lines and one probe speaks for every address.
@@ -114,18 +116,18 @@ impl ElideEnv<'_> {
     /// Applies one scalar op exactly as the general path would, for the
     /// elision-safe classes. Returns `false` — with *nothing* mutated —
     /// when the op must go to the general path instead: a sync op, a
-    /// policy-rejected class, a read missing all node-private state, or
-    /// a write that would stall.
+    /// read with read-hit elision off or missing all node-private state,
+    /// or a write that would stall.
     #[inline]
     fn apply(&mut self, op: Op, now: &mut Time) -> bool {
         match op {
-            Op::Compute(n) if self.policy.compute => {
+            Op::Compute(n) => {
                 let scaled = (n as Time * self.pace).div_ceil(100);
                 *now += scaled;
                 self.st.busy += scaled;
                 true
             }
-            Op::Read(addr) if self.policy.private_read_hits => {
+            Op::Read(addr) if self.elide_read_hits => {
                 if self.node.l1.read_hit(addr) {
                     self.st.reads += 1;
                     self.st.l1_hits += 1;
@@ -151,7 +153,7 @@ impl ElideEnv<'_> {
                 }
                 true
             }
-            Op::Write(addr) if self.policy.wb_pushes => {
+            Op::Write(addr) => {
                 let block = self.map.block_of(addr);
                 if self.node.wb.is_full() && !self.node.wb.holds_block(block) {
                     // Would stall; the general path pushes (counting the
@@ -176,7 +178,7 @@ impl ElideEnv<'_> {
                 }
                 true
             }
-            // Sync ops (and any class the policy rejects): general path.
+            // Sync ops (and reads without read-hit elision): general path.
             _ => false,
         }
     }
@@ -275,9 +277,12 @@ pub(crate) struct Machine<P: Protocol> {
     /// Per processor: a WbKick event is already scheduled.
     kick_pending: Vec<bool>,
     live: usize,
-    /// Which op classes the protocol + geometry allow the elided fast
-    /// path to retire (see [`Machine::elide_run`]).
-    elide: ElisionPolicy,
+    /// Reads that hit node-private state may retire on the elided fast
+    /// path (see [`Machine::elide_run`]). Read-hit probes skip the
+    /// LRU/miss bookkeeping a canonical miss performs; that is
+    /// unobservable only when replacement never has a choice, i.e. both
+    /// private caches are direct-mapped.
+    elide_read_hits: bool,
     /// Ops retired across all processors (any path).
     ops_done: u64,
     /// Ops retired inside elided runs.
@@ -331,11 +336,6 @@ impl<P: Protocol> Machine<P> {
             queue.schedule(0, Event::Resume(p));
         }
         let proto = build(cfg, map);
-        let mut elide = proto.elision_policy();
-        // Read-hit probes skip the LRU/miss bookkeeping a canonical miss
-        // performs; that is unobservable only when replacement never has a
-        // choice, i.e. both private caches are direct-mapped.
-        elide.private_read_hits &= cfg.l1.assoc == 1 && cfg.l2.assoc == 1;
         Self {
             cfg: *cfg,
             map,
@@ -348,7 +348,7 @@ impl<P: Protocol> Machine<P> {
             stats: vec![NodeStats::default(); n],
             kick_pending: vec![false; n],
             live: n,
-            elide,
+            elide_read_hits: cfg.l1.assoc == 1 && cfg.l2.assoc == 1,
             ops_done: 0,
             elided: 0,
             sharers: SharerMap::new(),
@@ -606,7 +606,7 @@ impl<P: Protocol> Machine<P> {
             kick_pending,
             map,
             cfg,
-            elide,
+            elide_read_hits,
             ops_done,
             elided,
             ..
@@ -624,7 +624,7 @@ impl<P: Protocol> Machine<P> {
             // fires from the event queue, which we are not touching.
             retiring: proc.retiring,
             p,
-            policy: *elide,
+            elide_read_hits: *elide_read_hits,
             seg_bytes: cfg.l1.block_bytes.min(map.block_bytes),
         };
         let stream = &mut proc.stream;
@@ -705,9 +705,6 @@ impl<P: Protocol> Machine<P> {
                     }
                 }
                 Head::CRun { cost, rem } => {
-                    if !env.policy.compute {
-                        break 'run;
-                    }
                     let scaled = (cost as Time * env.pace).div_ceil(100);
                     // Ops retire while their pre-op time is <= deadline,
                     // so (deadline - now)/scaled + 1 of them fit.
@@ -725,7 +722,7 @@ impl<P: Protocol> Machine<P> {
                     stride,
                     mut rem,
                 } => {
-                    if !env.policy.private_read_hits {
+                    if !env.elide_read_hits {
                         break 'run;
                     }
                     let mut taken = 0u64;
@@ -776,9 +773,6 @@ impl<P: Protocol> Machine<P> {
                     stride,
                     mut rem,
                 } => {
-                    if !env.policy.wb_pushes {
-                        break 'run;
-                    }
                     let mut taken = 0u64;
                     let mut full = false;
                     while rem > 0 && *now <= deadline {
@@ -829,9 +823,8 @@ impl<P: Protocol> Machine<P> {
                     }
                 }
                 Head::Nested(nest) => {
-                    if !(env.policy.compute && env.policy.private_read_hits && env.policy.wb_pushes)
-                    {
-                        // Mixed bodies want the full policy; the general
+                    if !env.elide_read_hits {
+                        // Mixed bodies want read-hit elision; the general
                         // path retires them op by op.
                         break 'run;
                     }

@@ -26,10 +26,9 @@ use desim::Time;
 use memsys::{Addr, AddressMap, BlockAddr, WriteEntry};
 
 use super::dmon_u::DmonChannels;
-use super::{ElisionPolicy, Node, ProtoCounters, Protocol, ReadKind, ReadResult};
+use super::{Node, ProtoCounters, Protocol, ReadKind, ReadResult};
 use crate::config::{Arch, SysConfig};
 use crate::latency::consts;
-use crate::topology::Topology;
 
 /// Slot sentinel for [`DirMap`]: no real block is `u64::MAX`.
 const DIR_EMPTY: BlockAddr = BlockAddr::MAX;
@@ -171,8 +170,7 @@ impl DmonI {
         let granted = self.ch.reserve(node, ready);
         let xfer = self.ch.optics.transfer_bits(consts::INVALIDATE_BITS);
         let sent = self.ch.bcast[0].acquire(granted, xfer) + xfer;
-        let seen = sent + self.ch.fabric.broadcast_latency(node);
-        self.ch.links.broadcast(&self.ch.fabric, node);
+        let seen = sent + self.ch.fabric.broadcast(node);
         // All other caches snoop and invalidate their copies. The previous
         // owner's dirty data is superseded by this write — dropped, never
         // written back (the writer produces the new value).
@@ -193,8 +191,7 @@ impl DmonI {
         // write completes the transaction.
         let granted2 = self.ch.reserve(home, dir_done.max(seen));
         let ack = self.ch.homes[node].acquire(granted2, self.ch.slot) + self.ch.slot;
-        self.ch.links.frame(&self.ch.fabric, home, node);
-        ack + self.ch.fabric.hop_latency(home, node) + consts::DMONI_LOCAL_WRITE
+        ack + self.ch.fabric.hop(home, node) + consts::DMONI_LOCAL_WRITE
     }
 
     /// Cache-to-cache forwarded read (requester → home → owner →
@@ -213,14 +210,12 @@ impl DmonI {
         let tuned = granted + self.ch.optics.tuning_delay;
         let req =
             self.ch.homes[home].acquire(tuned, self.ch.request_transfer) + self.ch.request_transfer;
-        let at_home = req + self.ch.fabric.hop_latency(node, home);
-        self.ch.links.frame(&self.ch.fabric, node, home);
+        let at_home = req + self.ch.fabric.hop(node, home);
         // Directory lookup, then forward the request to the owner.
         let granted2 = self.ch.reserve(home, at_home + consts::L2_TAG);
         let fwd = self.ch.homes[owner].acquire(granted2, self.ch.request_transfer)
             + self.ch.request_transfer;
-        let at_owner = fwd + self.ch.fabric.hop_latency(home, owner);
-        self.ch.links.frame(&self.ch.fabric, home, owner);
+        let at_owner = fwd + self.ch.fabric.hop(home, owner);
         // Owner pulls the block from its L2 to the NI and replies on the
         // requester's home channel; the copy it forwards is clean and the
         // owner's state drops from exclusive to shared (it stays owner).
@@ -229,27 +224,13 @@ impl DmonI {
         let reply = self.ch.homes[node].acquire(granted3, self.ch.block_transfer_hdr)
             + self.ch.block_transfer_hdr;
         let _ = &nodes[owner]; // owner cache state unchanged (still owner)
-        self.ch.links.frame(&self.ch.fabric, owner, node);
-        reply + self.ch.fabric.hop_latency(owner, node) + consts::NI_TO_L2
+        reply + self.ch.fabric.hop(owner, node) + consts::NI_TO_L2
     }
 }
 
 impl Protocol for DmonI {
     fn arch(&self) -> Arch {
         Arch::DmonI
-    }
-
-    /// Fully elidable even under invalidation: a peer's ownership request
-    /// invalidates this node's copies at the *peer's* retirement event,
-    /// so a line still present at probe time is genuinely readable; the
-    /// directory is consulted only on misses (which always take the
-    /// general path) and on write retirement (event-scheduled).
-    fn elision_policy(&self) -> ElisionPolicy {
-        ElisionPolicy {
-            compute: true,
-            private_read_hits: true,
-            wb_pushes: true,
-        }
     }
 
     fn read_remote(&mut self, nodes: &mut [Node], node: usize, addr: Addr, t: Time) -> ReadResult {
@@ -313,8 +294,7 @@ impl Protocol for DmonI {
         self.counters.sync_msgs += 1;
         let granted = self.ch.reserve(node, t + consts::CMD_TO_NI);
         let sent = self.ch.bcast[0].acquire(granted, 2) + 2;
-        self.ch.links.broadcast(&self.ch.fabric, node);
-        sent + self.ch.fabric.broadcast_latency(node)
+        sent + self.ch.fabric.broadcast(node)
     }
 
     fn evicted_l2(&mut self, nodes: &mut [Node], node: usize, block: u64, dirty: bool, t: Time) {
@@ -329,10 +309,9 @@ impl Protocol for DmonI {
         let granted = self.ch.reserve(node, t + consts::L2_TO_NI);
         let sent = self.ch.homes[home].acquire(granted, self.ch.block_transfer_hdr)
             + self.ch.block_transfer_hdr;
-        self.ch.links.frame(&self.ch.fabric, node, home);
         nodes[home]
             .mem
-            .writeback(sent + self.ch.fabric.hop_latency(node, home));
+            .writeback(sent + self.ch.fabric.hop(node, home));
     }
 
     fn counters(&self) -> &ProtoCounters {
@@ -340,7 +319,7 @@ impl Protocol for DmonI {
     }
 
     fn link_report(&self) -> Vec<(String, u64, u64)> {
-        self.ch.links.report(&self.ch.fabric)
+        self.ch.fabric.report()
     }
 }
 

@@ -17,12 +17,10 @@ use desim::{FifoServer, SlottedServer, Time};
 use memsys::{Addr, AddressMap, WriteEntry};
 use optics::OpticalParams;
 
-use super::{
-    apply_update_to_peers, ElisionPolicy, Node, ProtoCounters, Protocol, ReadKind, ReadResult,
-};
+use super::{apply_update_to_peers, Node, ProtoCounters, Protocol, ReadKind, ReadResult};
 use crate::config::{Arch, SysConfig};
 use crate::latency::consts;
-use crate::topology::{Fabric, LinkCounters, Topology};
+use crate::topology::Fabric;
 
 /// DMON channel set shared by both DMON protocols.
 pub(crate) struct DmonChannels {
@@ -34,7 +32,6 @@ pub(crate) struct DmonChannels {
     pub bcast: Vec<FifoServer>,
     pub optics: OpticalParams,
     pub fabric: Fabric,
-    pub links: LinkCounters,
     pub block_transfer_hdr: u64,
     pub request_transfer: u64,
     pub slot: u64,
@@ -43,14 +40,12 @@ pub(crate) struct DmonChannels {
 impl DmonChannels {
     pub fn new(cfg: &SysConfig, bcast_channels: usize) -> Self {
         let slot = crate::latency::slot_width(&cfg.optics);
-        let fabric = Fabric::new(cfg);
         Self {
             control: SlottedServer::new(cfg.nodes, slot),
             homes: (0..cfg.nodes).map(|_| FifoServer::new()).collect(),
             bcast: (0..bcast_channels).map(|_| FifoServer::new()).collect(),
             optics: cfg.optics,
-            links: LinkCounters::new(&fabric),
-            fabric,
+            fabric: Fabric::new(cfg),
             block_transfer_hdr: cfg
                 .optics
                 .transfer(cfg.l2.block_bytes, consts::DMON_BLOCK_HEADER_BITS),
@@ -71,14 +66,12 @@ impl DmonChannels {
         let granted = self.reserve(node, t);
         let tuned = granted + self.optics.tuning_delay;
         let req = self.homes[home].acquire(tuned, self.request_transfer) + self.request_transfer;
-        let at_home = req + self.fabric.hop_latency(node, home);
-        self.links.frame(&self.fabric, node, home);
+        let at_home = req + self.fabric.hop(node, home);
         let data = nodes[home].mem.read_block(at_home);
         let granted2 = self.reserve(home, data);
         let reply =
             self.homes[node].acquire(granted2, self.block_transfer_hdr) + self.block_transfer_hdr;
-        self.links.frame(&self.fabric, home, node);
-        reply + self.fabric.hop_latency(home, node) + consts::NI_TO_L2
+        reply + self.fabric.hop(home, node) + consts::NI_TO_L2
     }
 }
 
@@ -105,18 +98,6 @@ impl Protocol for DmonU {
         Arch::DmonU
     }
 
-    /// Fully elidable: like the other update protocols, peer writes are
-    /// pushed into this node's L2/L1 by the writer's retirement event, so
-    /// a local hit observes exactly what event-by-event execution would;
-    /// write-buffer pushes defer all TDMA traffic to retirement.
-    fn elision_policy(&self) -> ElisionPolicy {
-        ElisionPolicy {
-            compute: true,
-            private_read_hits: true,
-            wb_pushes: true,
-        }
-    }
-
     fn read_remote(&mut self, nodes: &mut [Node], node: usize, addr: Addr, t: Time) -> ReadResult {
         let home = self.map.home_of(addr);
         ReadResult {
@@ -140,23 +121,20 @@ impl Protocol for DmonU {
         let bits = entry.words() as u64 * 32 + consts::UPDATE_HEADER_BITS;
         let xfer = self.ch.optics.transfer_bits(bits);
         let sent = self.ch.bcast[node % 2].acquire(granted, xfer) + xfer;
-        let seen = sent + self.ch.fabric.broadcast_latency(node);
-        self.ch.links.broadcast(&self.ch.fabric, node);
+        let seen = sent + self.ch.fabric.broadcast(node);
         apply_update_to_peers(nodes, node, entry.addr, &mut self.counters, sharers);
         let (_applied, ack_ready) = nodes[home].mem.apply_update(seen, entry.words());
         // Ack: reservation, then a one-cycle message on the home channel.
         let granted2 = self.ch.reserve(home, ack_ready);
         let ack = self.ch.homes[node].acquire(granted2, self.ch.slot) + self.ch.slot;
-        self.ch.links.frame(&self.ch.fabric, home, node);
-        ack + self.ch.fabric.hop_latency(home, node)
+        ack + self.ch.fabric.hop(home, node)
     }
 
     fn sync_broadcast(&mut self, node: usize, t: Time) -> Time {
         self.counters.sync_msgs += 1;
         let granted = self.ch.reserve(node, t + consts::CMD_TO_NI);
         let sent = self.ch.bcast[node % 2].acquire(granted, 2) + 2;
-        self.ch.links.broadcast(&self.ch.fabric, node);
-        sent + self.ch.fabric.broadcast_latency(node)
+        sent + self.ch.fabric.broadcast(node)
     }
 
     fn evicted_l2(
@@ -175,7 +153,7 @@ impl Protocol for DmonU {
     }
 
     fn link_report(&self) -> Vec<(String, u64, u64)> {
-        self.ch.links.report(&self.ch.fabric)
+        self.ch.fabric.report()
     }
 }
 

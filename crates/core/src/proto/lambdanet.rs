@@ -17,19 +17,16 @@ use desim::{FifoServer, Time};
 use memsys::{Addr, AddressMap, WriteEntry};
 use optics::OpticalParams;
 
-use super::{
-    apply_update_to_peers, ElisionPolicy, Node, ProtoCounters, Protocol, ReadKind, ReadResult,
-};
+use super::{apply_update_to_peers, Node, ProtoCounters, Protocol, ReadKind, ReadResult};
 use crate::config::{Arch, SysConfig};
 use crate::latency::consts;
-use crate::topology::{Fabric, LinkCounters, Topology};
+use crate::topology::Fabric;
 
 /// LambdaNet interconnect state: one channel (FIFO server) per node.
 pub struct LambdaNet {
     map: AddressMap,
     optics: OpticalParams,
     fabric: Fabric,
-    links: LinkCounters,
     channels: Vec<FifoServer>,
     block_transfer: u64,
     msg: u64,
@@ -39,12 +36,10 @@ pub struct LambdaNet {
 impl LambdaNet {
     /// Builds the per-node channels.
     pub fn new(cfg: &SysConfig, map: AddressMap) -> Self {
-        let fabric = Fabric::new(cfg);
         Self {
             map,
             optics: cfg.optics,
-            links: LinkCounters::new(&fabric),
-            fabric,
+            fabric: Fabric::new(cfg),
             channels: (0..cfg.nodes).map(|_| FifoServer::new()).collect(),
             block_transfer: cfg.optics.transfer(cfg.l2.block_bytes, 0),
             msg: crate::latency::slot_width(&cfg.optics),
@@ -58,31 +53,16 @@ impl Protocol for LambdaNet {
         Arch::LambdaNet
     }
 
-    /// Fully elidable: LambdaNet is an update protocol — peer writes
-    /// refresh this node's caches from the writer's own retirement event,
-    /// so local hits are always current and no per-op consultation is
-    /// needed. Pushes into the write buffer carry no network cost until
-    /// their event-scheduled retirement.
-    fn elision_policy(&self) -> ElisionPolicy {
-        ElisionPolicy {
-            compute: true,
-            private_read_hits: true,
-            wb_pushes: true,
-        }
-    }
-
     fn read_remote(&mut self, nodes: &mut [Node], node: usize, addr: Addr, t: Time) -> ReadResult {
         let home = self.map.home_of(addr);
         // Request on my own channel (no arbitration), flight, memory,
         // reply on the home's channel, flight, NI → L2. Table 2 left.
         let sent = self.channels[node].acquire(t, self.msg) + self.msg;
-        let at_home = sent + self.fabric.hop_latency(node, home);
-        self.links.frame(&self.fabric, node, home);
+        let at_home = sent + self.fabric.hop(node, home);
         let data = nodes[home].mem.read_block(at_home);
         let reply = self.channels[home].acquire(data, self.block_transfer) + self.block_transfer;
-        self.links.frame(&self.fabric, home, node);
         ReadResult {
-            done: reply + self.fabric.hop_latency(home, node) + consts::NI_TO_L2,
+            done: reply + self.fabric.hop(home, node) + consts::NI_TO_L2,
             kind: ReadKind::RemoteMem,
         }
     }
@@ -102,22 +82,19 @@ impl Protocol for LambdaNet {
         let xfer = self.optics.transfer_bits(bits);
         // Broadcast on my own channel — contends only with my own reads.
         let sent = self.channels[node].acquire(ready, xfer) + xfer;
-        let seen = sent + self.fabric.broadcast_latency(node);
-        self.links.broadcast(&self.fabric, node);
+        let seen = sent + self.fabric.broadcast(node);
         apply_update_to_peers(nodes, node, entry.addr, &mut self.counters, sharers);
         let (_applied, ack_ready) = nodes[home].mem.apply_update(seen, entry.words());
         // Ack on the home's own channel.
         let ack = self.channels[home].acquire(ack_ready, self.msg) + self.msg;
-        self.links.frame(&self.fabric, home, node);
-        ack + self.fabric.hop_latency(home, node)
+        ack + self.fabric.hop(home, node)
     }
 
     fn sync_broadcast(&mut self, node: usize, t: Time) -> Time {
         self.counters.sync_msgs += 1;
         let ready = t + consts::CMD_TO_NI;
         let sent = self.channels[node].acquire(ready, 2) + 2;
-        self.links.broadcast(&self.fabric, node);
-        sent + self.fabric.broadcast_latency(node)
+        sent + self.fabric.broadcast(node)
     }
 
     fn evicted_l2(
@@ -151,7 +128,7 @@ impl Protocol for LambdaNet {
     }
 
     fn link_report(&self) -> Vec<(String, u64, u64)> {
-        self.links.report(&self.fabric)
+        self.fabric.report()
     }
 }
 

@@ -96,45 +96,17 @@ pub struct ProtoCounters {
     pub remote_l1_invalidates: u64,
 }
 
-/// Which operation classes a protocol certifies as **elision-safe**: ops
-/// the machine may retire inside an inlined private run (event elision)
-/// without a per-op protocol consultation. A class is safe only when the
-/// protocol pushes every coherence action that could affect it into the
-/// node's own structures from the *peer's* event — so a node-local probe
-/// at run time observes exactly what an event-by-event execution would.
-///
-/// Each protocol declares its own policy; the machine takes the
-/// conjunction with its cache-geometry checks before enabling the fast
-/// path. A hypothetical protocol that must see, say, every read hit (a
-/// directory with hit-time access tracking) would clear the matching
-/// flag and only that op class falls back to the general path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ElisionPolicy {
-    /// `Op::Compute` may accumulate latency locally.
-    pub compute: bool,
-    /// Reads satisfied by the node's own L1/L2/write buffer may retire
-    /// inline (misses always fall back to the general path).
-    pub private_read_hits: bool,
-    /// Writes may push into the coalescing write buffer inline (the
-    /// retirement itself always runs through scheduled events).
-    pub wb_pushes: bool,
-}
-
-impl ElisionPolicy {
-    /// True when every op class is elidable — the full fast path.
-    pub fn all(&self) -> bool {
-        self.compute && self.private_read_hits && self.wb_pushes
-    }
-}
-
 /// The interconnect + coherence protocol interface.
+///
+/// The machine retires compute, private read hits and write-buffer
+/// pushes without consulting the protocol (event elision, DESIGN.md
+/// §10). That is exact only because every protocol applies a coherence
+/// action to a peer's private caches from the event that causes it (an
+/// update or invalidation at the writer's retirement), and consults its
+/// own state only on misses and retirements.
 pub trait Protocol {
     /// Architecture this protocol implements.
     fn arch(&self) -> Arch;
-
-    /// Which op classes this protocol certifies for event elision. No
-    /// default: every protocol must state (and justify) its policy.
-    fn elision_policy(&self) -> ElisionPolicy;
 
     /// A read of shared block `addr` from `node` that missed the L2 and is
     /// homed remotely. `t` is the time the miss leaves the L2 tag check.
@@ -184,7 +156,7 @@ pub trait Protocol {
     }
 
     /// Per-link fabric diagnostics: `(name, frames, busy cycles)` in the
-    /// topology's link order (see [`crate::topology`]). Digest-excluded
+    /// fabric's link order (see [`crate::topology`]). Digest-excluded
     /// bookkeeping — the sweep's contention columns are built from it.
     fn link_report(&self) -> Vec<(String, u64, u64)> {
         Vec::new()

@@ -22,20 +22,17 @@ use desim::{FifoServer, SlottedServer, Time};
 use memsys::{Addr, AddressMap, WriteEntry};
 use optics::OpticalParams;
 
-use super::{
-    apply_update_to_peers, ElisionPolicy, Node, ProtoCounters, Protocol, ReadKind, ReadResult,
-};
+use super::{apply_update_to_peers, Node, ProtoCounters, Protocol, ReadKind, ReadResult};
 use crate::config::{Arch, SysConfig};
 use crate::latency::consts;
 use crate::ring::{RingCache, RingLookup, RingStats};
-use crate::topology::{Fabric, LinkCounters, Topology};
+use crate::topology::Fabric;
 
 /// The NetCache interconnect + protocol state.
 pub struct NetCacheProto {
     map: AddressMap,
     optics: OpticalParams,
     fabric: Fabric,
-    links: LinkCounters,
     request: SlottedServer,
     coherence: [SlottedServer; 2],
     /// Cache rings, one per [`Fabric`] ring (a single element on the
@@ -63,7 +60,6 @@ impl NetCacheProto {
         Self {
             map,
             optics: cfg.optics,
-            links: LinkCounters::new(&fabric),
             fabric,
             request: SlottedServer::new(p, slot),
             coherence: [
@@ -85,14 +81,12 @@ impl NetCacheProto {
     fn star_read(&mut self, nodes: &mut [Node], node: usize, home: usize, t: Time) -> Time {
         // Request channel slot, transfer, flight.
         let sent = self.request.acquire(node, t, self.slot) + self.slot;
-        let at_home = sent + self.fabric.hop_latency(node, home);
-        self.links.frame(&self.fabric, node, home);
+        let at_home = sent + self.fabric.hop(node, home);
         // Home memory read.
         let data = nodes[home].mem.read_block(at_home);
         // Reply on the home's home channel.
         let reply = self.homes[home].acquire(data, self.block_transfer) + self.block_transfer;
-        self.links.frame(&self.fabric, home, node);
-        reply + self.fabric.hop_latency(home, node) + consts::NI_TO_L2
+        reply + self.fabric.hop(home, node) + consts::NI_TO_L2
     }
 
     /// The coherence channel a node transmits on (fixed by node parity).
@@ -107,20 +101,6 @@ impl Protocol for NetCacheProto {
         Arch::NetCache
     }
 
-    /// Every op class is elision-safe under NetCache: updates from peers
-    /// refresh this node's L2 and invalidate its L1 at the *writer's*
-    /// retirement event (`apply_update_to_peers`), and ring/home state is
-    /// only consulted on misses — so a private hit needs no protocol
-    /// check, and a write-buffer push defers all traffic to the
-    /// event-scheduled retirement.
-    fn elision_policy(&self) -> ElisionPolicy {
-        ElisionPolicy {
-            compute: true,
-            private_read_hits: true,
-            wb_pushes: true,
-        }
-    }
-
     fn read_remote(&mut self, nodes: &mut [Node], node: usize, addr: Addr, t: Time) -> ReadResult {
         let block = self.map.block_of(addr);
         let home = self.map.home_of(addr);
@@ -129,7 +109,7 @@ impl Protocol for NetCacheProto {
         // cross-cluster read cannot probe the remote ring and goes
         // straight to the star path (no ring lookup, no miss counted).
         let probe = if self.fabric.probes_ring(node, home) {
-            self.links.ring_frame(&self.fabric, r);
+            self.fabric.ring_access(r);
             self.rings[r].lookup(block, self.fabric.ring_tap(node), t)
         } else {
             RingLookup::Miss
@@ -179,7 +159,7 @@ impl Protocol for NetCacheProto {
                         let buddy = nodes[home].mem.read_block(insert_at);
                         insert_at = insert_at.max(buddy);
                     }
-                    self.links.ring_frame(&self.fabric, r);
+                    self.fabric.ring_access(r);
                     self.rings[r].insert(block, self.fabric.ring_tap(home), insert_at);
                 }
                 ReadResult {
@@ -207,8 +187,7 @@ impl Protocol for NetCacheProto {
         let xfer = self.optics.transfer_bits(bits);
         let (ch, slot_owner) = self.coherence_of(node);
         let sent = self.coherence[ch].acquire(slot_owner, ready, xfer) + xfer;
-        let seen = sent + self.fabric.broadcast_latency(node);
-        self.links.broadcast(&self.fabric, node);
+        let seen = sent + self.fabric.broadcast(node);
         // All sharers refresh L2 copies / invalidate L1 copies.
         apply_update_to_peers(nodes, node, entry.addr, &mut self.counters, sharers);
         // Home: memory FIFO queue (hysteresis ack) + circulating copy
@@ -216,12 +195,11 @@ impl Protocol for NetCacheProto {
         let (_applied, ack_ready) = nodes[home].mem.apply_update(seen, entry.words());
         let block = self.map.block_of(entry.addr);
         let r = self.fabric.ring_of(block, home);
-        self.links.ring_frame(&self.fabric, r);
+        self.fabric.ring_access(r);
         self.rings[r].apply_update(block, seen);
         // Ack back through the request channel.
         let ack_sent = self.request.acquire(home, ack_ready, self.slot) + self.slot;
-        self.links.frame(&self.fabric, home, node);
-        ack_sent + self.fabric.hop_latency(home, node)
+        ack_sent + self.fabric.hop(home, node)
     }
 
     fn sync_broadcast(&mut self, node: usize, t: Time) -> Time {
@@ -229,8 +207,7 @@ impl Protocol for NetCacheProto {
         let (ch, slot_owner) = self.coherence_of(node);
         let ready = t + consts::CMD_TO_NI;
         let sent = self.coherence[ch].acquire(slot_owner, ready, 2) + 2;
-        self.links.broadcast(&self.fabric, node);
-        sent + self.fabric.broadcast_latency(node)
+        sent + self.fabric.broadcast(node)
     }
 
     fn evicted_l2(
@@ -257,7 +234,7 @@ impl Protocol for NetCacheProto {
     }
 
     fn link_report(&self) -> Vec<(String, u64, u64)> {
-        self.links.report(&self.fabric)
+        self.fabric.report()
     }
 
     fn channel_report(&self) -> Vec<(String, u64, u64, f64)> {

@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 
 use netcache_apps::{AppId, Workload};
 
-use crate::config::{Arch, RingConfig, SysConfig, TopoKind};
+use crate::config::{Arch, ChannelAssoc, SysConfig, TopoKind};
 use crate::json;
 use crate::machine::{run_workload, EngineScratch};
 use crate::metrics::RunReport;
@@ -53,7 +53,11 @@ pub struct SweepPoint {
 }
 
 impl SweepPoint {
-    /// Builds a point with the conventional label.
+    /// Builds a point with the conventional label: arch, app, nodes and
+    /// scale, then one suffix per machine parameter the paper's figures
+    /// move off the arch's base machine. The base machine's label has no
+    /// suffix (the seed never gets one), so existing labels (netbench's
+    /// pins, the store guard's grep patterns) are untouched.
     pub fn new(cfg: SysConfig, app: AppId, scale: f64) -> Self {
         let mut label = format!(
             "{}/{}/p{}/s{}",
@@ -62,16 +66,39 @@ impl SweepPoint {
             cfg.nodes,
             scale
         );
-        if cfg.arch == Arch::NetCache {
-            if !cfg.ring.enabled() {
-                label.push_str("/no-ring");
-            } else if cfg.ring.capacity_bytes() != RingConfig::base().capacity_bytes() {
-                label.push_str(&format!("/ring{}k", cfg.ring.capacity_bytes() / 1024));
+        let base = SysConfig::base(cfg.arch);
+        let ring = cfg.ring;
+        if cfg.arch == Arch::NetCache && !ring.enabled() {
+            label.push_str("/no-ring");
+        } else if cfg.arch == Arch::NetCache {
+            if ring.capacity_bytes() != base.ring.capacity_bytes() {
+                label.push_str(&format!("/ring{}k", ring.capacity_bytes() / 1024));
+            }
+            if ring.replacement != base.ring.replacement {
+                label.push_str(&format!("/{}", ring.replacement.name().to_lowercase()));
+            }
+            if ring.assoc == ChannelAssoc::Direct {
+                label.push_str("/direct");
+            }
+            if ring.block_bytes != base.ring.block_bytes {
+                label.push_str(&format!("/line{}", ring.block_bytes));
+            }
+            if !ring.dual_path_reads {
+                label.push_str("/serial-reads");
+            }
+            if !ring.race_window {
+                label.push_str("/no-window");
             }
         }
-        // Non-default fabrics get a label suffix; the default single
-        // ring stays suffix-free so existing labels (and the store
-        // guard's grep patterns) are untouched.
+        if cfg.l2.size_bytes != base.l2.size_bytes {
+            label.push_str(&format!("/l2-{}k", cfg.l2.size_bytes / 1024));
+        }
+        if cfg.mem.read_latency != base.mem.read_latency {
+            label.push_str(&format!("/mem{}", cfg.mem.read_latency));
+        }
+        if cfg.optics.rate_gbps != base.optics.rate_gbps {
+            label.push_str(&format!("/{}gbps", cfg.optics.rate_gbps));
+        }
         match cfg.topo.kind {
             TopoKind::Single => {}
             TopoKind::MultiRing => label.push_str(&format!("/mr{}", cfg.topo.rings)),
@@ -947,6 +974,31 @@ mod tests {
                 "netcache/sor/p4/s0.01/sor",
             ]
         );
+    }
+
+    #[test]
+    fn each_moved_parameter_gets_a_suffix_and_the_seed_none() {
+        let nc = SysConfig::base(Arch::NetCache);
+        let label = |cfg| SweepPoint::new(cfg, AppId::Sor, 0.1).label;
+        let (mut seeded, mut line, mut serial, mut window) = (nc, nc, nc, nc);
+        seeded.seed = 7;
+        line.ring.block_bytes = 128;
+        line.ring.frames_per_channel = 2;
+        serial.ring.dual_path_reads = false;
+        window.ring.race_window = false;
+        for (cfg, suffix) in [
+            (seeded, ""),
+            (nc.with_l2_kb(32), "/l2-32k"),
+            (nc.with_mem_latency(108), "/mem108"),
+            (nc.with_rate_gbps(5.0), "/5gbps"),
+            (nc.with_replacement(crate::Replacement::Lfu), "/lfu"),
+            (nc.with_assoc(ChannelAssoc::Direct), "/direct"),
+            (line, "/line128"),
+            (serial, "/serial-reads"),
+            (window, "/no-window"),
+        ] {
+            assert_eq!(label(cfg), format!("netcache/sor/p16/s0.1{suffix}"));
+        }
     }
 
     #[test]

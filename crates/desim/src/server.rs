@@ -48,15 +48,6 @@ impl FifoServer {
         start
     }
 
-    /// Like [`acquire`](Self::acquire) but returns the *completion* time.
-    #[inline]
-    pub fn acquire_done(&mut self, arrival: Time, service: Duration) -> Time {
-        self.acquire(arrival, service);
-        // `acquire` advanced `next_free` to exactly this transaction's
-        // completion time.
-        self.next_free
-    }
-
     /// How long a request arriving now would wait before being served.
     #[inline]
     pub fn backlog(&self, now: Time) -> Duration {

@@ -4,7 +4,8 @@
 //! netcache run <app> [--arch A] [--scale S] [--procs P] [--ring-kb K]
 //!                    [--topology T] [--rings C]
 //! netcache compare <app> [--scale S] [--procs P] [--ring-kb K]
-//!                        [--topology T] [--rings C] [--store DIR]
+//!                        [--topology T] [--rings C] [--jobs N] [--serial]
+//!                        [--store DIR|--no-store]
 //! netcache sweep [apps...] [--archs A,B|all] [--jobs N] [--scale S]
 //!                [--procs P] [--ring-kbs K,K,...] [--topology T] [--rings C]
 //!                [--json F] [--csv F]
@@ -15,6 +16,9 @@
 //! netcache figures [FIG...] [--jobs N] [--quiet] [--store DIR|--no-store]
 //!                  [--json F]                           # the paper's evaluation
 //! ```
+//!
+//! Each subcommand takes exactly the flags shown for it; any other flag
+//! exits 2 naming it, before anything runs.
 //!
 //! Architectures: `netcache` (default), `lambdanet`, `dmon-u`, `dmon-i`.
 //!
@@ -37,7 +41,7 @@
 //! the ones named, e.g. `fig6 fig15`), running every distinct cell once
 //! as one sweep, then checks each verdict EXPERIMENTS.md records: it
 //! exits 1 naming any ✅ claim that fails. Each figure fixes its own
-//! machines and workloads, so a flag that shapes either exits 2.
+//! machines and workloads, so no flag shapes either.
 //!
 //! `--store DIR` points `sweep`/`compare`/`figures` at a content-addressed on-disk
 //! result store: cells already present (same config, workload, and
@@ -100,19 +104,35 @@ struct Args {
     flags: Vec<String>,
 }
 
-/// The flags `figures` takes: none of them shapes a machine or workload.
-const FIGURES_FLAGS: [&str; 5] = ["--jobs", "--quiet", "--store", "--no-store", "--json"];
+/// Each subcommand and exactly the flags its branch of `main` reads. Any
+/// other flag exits 2 before anything runs: a flag that is accepted and
+/// ignored would misdescribe the machine or the output that resulted.
+const FLAGS: [(&str, &str); 7] = [
+    ("run", "--arch --scale --procs --ring-kb --topology --rings"),
+    (
+        "compare",
+        "--scale --procs --ring-kb --topology --rings --jobs --serial --store --no-store",
+    ),
+    (
+        "sweep",
+        "--archs --scale --procs --ring-kbs --topology --rings --jobs --serial --quiet \
+         --store --no-store --json --csv",
+    ),
+    ("trace", "--scale --procs"),
+    ("replay", "--arch --procs"),
+    ("profile", "--scale --procs"),
+    ("figures", "--jobs --quiet --store --no-store --json"),
+];
 
 fn usage() -> ! {
+    eprintln!("usage: netcache <run|compare|sweep|trace|replay|profile|figures> ...");
+    for (cmd, flags) in FLAGS {
+        eprintln!("  {cmd} takes {flags}");
+    }
     eprintln!(
-        "usage: netcache <run|compare|sweep|trace|replay|profile|figures> ... \
-         [--arch netcache|lambdanet|dmon-u|dmon-i] [--scale S] [--procs P] [--ring-kb K] \
-         [--topology single|multi-ring|star-of-rings] [--rings C]\n\
-         sweep flags: [--archs A,B|all] [--jobs N] [--ring-kbs K,K,...] \
-         [--json FILE] [--csv FILE] [--serial] [--quiet] [--store DIR|--no-store]\n\
-         --store DIR caches results on disk (sweep/compare/figures serve cached cells); \
-         --no-store forces recomputation\n\
-         figures [FIG...] takes only --jobs, --quiet, --store, --no-store, --json"
+        "--arch netcache|lambdanet|dmon-u|dmon-i, --archs A,B|all, \
+         --topology single|multi-ring|star-of-rings; --store DIR caches results on disk \
+         (sweep/compare/figures serve cached cells), --no-store forces recomputation"
     );
     exit(2)
 }
@@ -458,10 +478,36 @@ fn renumber_sync_ids(traces: &mut [Vec<Op>]) {
 }
 
 fn main() {
+    // Rust ignores SIGPIPE, so a print to a closed stdout (`netcache ... |
+    // head`) would panic; the default action ends the process quietly,
+    // as it does any other filter's.
+    #[cfg(unix)]
+    {
+        extern "C" {
+            fn signal(signum: i32, handler: usize) -> usize;
+        }
+        const SIGPIPE: i32 = 13;
+        const SIG_DFL: usize = 0;
+        // SAFETY: the declaration matches libc's `signal(int,
+        // sighandler_t)`: `sighandler_t` is pointer-sized and SIG_DFL is
+        // 0. The default action installs no handler, so no Rust code
+        // ever runs in signal context.
+        unsafe { signal(SIGPIPE, SIG_DFL) };
+    }
     let args = parse_args();
     let Some(cmd) = args.positional.first().cloned() else {
         usage()
     };
+    let Some((_, takes)) = FLAGS.iter().find(|(c, _)| *c == cmd) else {
+        usage()
+    };
+    if let Some(f) = args
+        .flags
+        .iter()
+        .find(|f| !takes.split_whitespace().any(|t| t == *f))
+    {
+        fail(format!("{cmd} takes no {f}; it takes {takes}"))
+    }
     match cmd.as_str() {
         "run" => {
             let app = app_by_name(
@@ -647,15 +693,6 @@ fn main() {
             }
         }
         "figures" => {
-            if let Some(f) = args
-                .flags
-                .iter()
-                .find(|f| !FIGURES_FLAGS.contains(&f.as_str()))
-            {
-                fail(format!(
-                    "figures takes no {f}: each figure fixes its own machines and workloads"
-                ))
-            }
             let figs = figures::select(&args.positional[1..]).unwrap_or_else(|e| fail(e));
             let store = open_store(&args);
             let (tables, result) =

@@ -1169,8 +1169,16 @@ mod tests {
                 }
             }
         }
-        let keys: HashSet<u64> = figs.iter().flat_map(|f| &f.cells).map(point_key).collect();
+        let cells = || figs.iter().flat_map(|f| &f.cells);
+        let keys: HashSet<u64> = cells().map(point_key).collect();
         assert_eq!(keys.len(), 228);
+        // One label per distinct cell: as many labels as keys, and as
+        // many (label, key) pairs, so no label names two cells.
+        let labels: HashSet<&str> = cells().map(|p| p.label.as_str()).collect();
+        assert_eq!(labels.len(), 228, "labels shared between cells");
+        let pairs: HashSet<(&str, u64)> =
+            cells().map(|p| (p.label.as_str(), point_key(p))).collect();
+        assert_eq!(pairs.len(), 228, "one cell under two labels");
     }
 
     #[test]

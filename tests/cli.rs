@@ -309,6 +309,76 @@ fn figures_with_a_machine_flag_exits_two_naming_it() {
     }
 }
 
+/// Every subcommand takes exactly the flags it reads: a flag it would
+/// ignore (`sweep` sizes rings from `--ring-kbs`, `run` keeps no store,
+/// `sweep` crosses `--archs`, `trace` writes arch-free streams, `replay`
+/// runs the traces as written) exits 2 naming it, before anything runs.
+#[test]
+fn a_flag_the_subcommand_does_not_read_exits_two_naming_it() {
+    let dir = scratch_dir("unread");
+    let shape = ["--procs", "4", "--scale", "0.02"];
+    for (cmd, flag) in [
+        (
+            &["sweep", "fft", "--archs", "netcache"][..],
+            &["--ring-kb", "64"][..],
+        ),
+        (&["run", "fft"], &["--store", path_arg(&dir)]),
+        (&["sweep", "fft"], &["--arch", "dmon-i"]),
+        (&["trace", "fft", path_arg(&dir)], &["--arch", "dmon-i"]),
+    ] {
+        let out = netcache(&[cmd, &shape, flag].concat());
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "{cmd:?} {flag:?}: {err}");
+        assert!(
+            err.contains(&format!("{} takes no {}", cmd[0], flag[0])),
+            "{cmd:?}: flag not named: {err}"
+        );
+        assert!(stdout_of(&out).is_empty(), "{cmd:?} {flag:?}: ran anyway");
+    }
+    let out = netcache(&["replay", path_arg(&dir), "--scale", "0.5"]);
+    let err = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(2), "replay --scale: {err}");
+    assert!(
+        err.contains("replay takes no --scale"),
+        "flag not named: {err}"
+    );
+    let written = std::fs::read_dir(&dir).map_or(0, |d| d.count());
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(written, 0, "a rejected command wrote into {dir:?}");
+}
+
+/// A reader that goes away (`netcache ... | head`) ends the CLI quietly:
+/// exit 0 or death by SIGPIPE, never a panic's exit 101. The pipe's read
+/// end is closed before the child starts, so its first print fails.
+#[cfg(unix)]
+#[test]
+fn a_closed_stdout_ends_the_cli_without_a_panic() {
+    use std::os::unix::process::ExitStatusExt;
+    for args in [
+        &["run", "fft", "--procs", "4", "--scale", "0.02"][..],
+        &[
+            "sweep", "fft", "--archs", "netcache", "--procs", "4", "--scale", "0.02",
+        ],
+        &["figures", "tables", "--quiet"],
+    ] {
+        let (reader, writer) = std::io::pipe().expect("create a pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_netcache"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("spawn netcache binary");
+        let err = stderr_of(&out);
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert_ne!(out.status.code(), Some(101), "{args:?}: {err}");
+        assert!(
+            out.status.success() || out.status.signal() == Some(13),
+            "{args:?}: neither exit 0 nor SIGPIPE: {:?}: {err}",
+            out.status
+        );
+    }
+}
+
 /// The analytic tables need no simulation: they print the paper's
 /// totals, their claim holds, and the JSON document holds them.
 #[test]

@@ -293,86 +293,40 @@ fn machine_terminates_and_accounts_time() {
 }
 
 // ---------------------------------------------------------------------
-// Topology routing invariants: random fabrics (all three kinds, random
-// shapes), random endpoints. Routes must reach their destination, hop
-// latencies must be positive and symmetric, and every frame recorded on
-// the link counters must land on exactly one link.
+// Fabric invariants: random fabrics (all three kinds, random shapes),
+// random endpoints. Hop latencies must be positive and symmetric, and
+// every traversal must charge exactly one link with the latency it
+// returns.
 
-use netcache::topology::{LinkCounters, MultiRing, SingleRing, StarOfRings};
-use netcache::{Fabric, Topology};
+use netcache::{Fabric, TopoKind};
 
 /// A random fabric of a random kind and shape (1–64 nodes, 1–8 rings,
-/// 1–16 node clusters, 1–4 pcycle hops).
-fn arb_fabric(rng: &mut Xoshiro256StarStar) -> Fabric {
-    let nodes = rng.range(1, 65) as usize;
-    let flight = rng.range(1, 5);
-    match rng.below(3) {
-        0 => Fabric::Single(SingleRing { nodes, flight }),
-        1 => Fabric::Multi(MultiRing {
-            nodes,
-            rings: rng.range(1, 9) as usize,
-            flight,
-        }),
-        _ => Fabric::Star(StarOfRings {
-            nodes,
-            cluster: rng.range(1, 17) as usize,
-            flight,
-        }),
+/// 1–4 pcycle hops), with its node count.
+fn arb_fabric(rng: &mut Xoshiro256StarStar) -> (Fabric, u64) {
+    let nodes = rng.range(1, 65);
+    let kind = TopoKind::ALL[rng.below(3) as usize];
+    let mut cfg = SysConfig::base(Arch::NetCache)
+        .with_nodes(nodes as usize)
+        .with_topology(kind);
+    if kind == TopoKind::MultiRing {
+        cfg = cfg.with_rings(rng.range(1, 9) as usize);
     }
-}
-
-#[test]
-fn routes_reach_their_destination() {
-    check(128, |rng| {
-        let t = arb_fabric(rng);
-        let n = t.nodes() as u64;
-        for _ in 0..32 {
-            let (src, dst) = (rng.below(n) as usize, rng.below(n) as usize);
-            let route = t.route(src, dst);
-            assert_eq!(route[0], src, "route must start at the sender's leg");
-            assert_eq!(
-                *route.last().unwrap(),
-                dst,
-                "route must end at the receiver's leg"
-            );
-            assert!(
-                route.iter().all(|&l| l < t.links()),
-                "route uses an unenumerated link"
-            );
-            // Shape: self-route is trivial, intra-cluster is leg→leg,
-            // cross-cluster threads both clusters' root links.
-            if src == dst {
-                assert_eq!(route.len(), 1);
-            } else if t.cluster_of(src) == t.cluster_of(dst) {
-                assert_eq!(route, vec![src, dst]);
-            } else {
-                assert_eq!(
-                    route,
-                    vec![
-                        src,
-                        t.root_link(t.cluster_of(src)),
-                        t.root_link(t.cluster_of(dst)),
-                        dst
-                    ]
-                );
-            }
-        }
-    });
+    cfg.optics.flight = rng.range(1, 5);
+    (Fabric::new(&cfg), nodes)
 }
 
 #[test]
 fn hop_latencies_are_positive_and_symmetric() {
     check(128, |rng| {
-        let t = arb_fabric(rng);
-        let n = t.nodes() as u64;
+        let (mut t, n) = arb_fabric(rng);
         for _ in 0..32 {
             let (a, b) = (rng.below(n) as usize, rng.below(n) as usize);
-            let ab = t.hop_latency(a, b);
+            let ab = t.hop(a, b);
             assert!(ab > 0, "hop latency must be positive");
-            assert_eq!(ab, t.hop_latency(b, a), "hop latency must be symmetric");
+            assert_eq!(ab, t.hop(b, a), "hop latency must be symmetric");
             // A broadcast reaches the farthest node, so it can never be
             // cheaper than any point-to-point hop from the same sender.
-            assert!(t.broadcast_latency(a) >= ab, "broadcast cheaper than a hop");
+            assert!(t.broadcast(a) >= ab, "broadcast cheaper than a hop");
         }
     });
 }
@@ -380,30 +334,34 @@ fn hop_latencies_are_positive_and_symmetric() {
 #[test]
 fn link_counters_sum_to_frames_injected() {
     check(128, |rng| {
-        let t = arb_fabric(rng);
-        let n = t.nodes() as u64;
-        let mut c = LinkCounters::new(&t);
+        let (mut t, n) = arb_fabric(rng);
         let ops = rng.range(1, 200);
+        let mut latency = 0;
         for _ in 0..ops {
-            match rng.below(3) {
-                0 => c.frame(&t, rng.below(n) as usize, rng.below(n) as usize),
-                1 => c.broadcast(&t, rng.below(n) as usize),
-                _ => c.ring_frame(&t, rng.below(t.rings() as u64) as usize),
-            }
+            latency += match rng.below(3) {
+                0 => t.hop(rng.below(n) as usize, rng.below(n) as usize),
+                1 => t.broadcast(rng.below(n) as usize),
+                _ => {
+                    t.ring_access(rng.below(t.rings() as u64) as usize);
+                    1
+                }
+            };
         }
-        assert_eq!(c.injected(), ops, "every record injects exactly one frame");
-        assert_eq!(
-            c.frames_total(),
-            c.injected(),
-            "per-link frames must sum to total injected"
-        );
-        let rows = c.report(&t);
-        assert_eq!(rows.len(), t.links());
+        let rows = t.report();
         for (name, frames, busy) in &rows {
             // Busy time accumulates at least one pcycle per frame.
             assert!(busy >= frames, "link {name}: busy {busy} < frames {frames}");
         }
-        assert_eq!(rows.iter().map(|(_, f, _)| f).sum::<u64>(), ops);
+        assert_eq!(
+            rows.iter().map(|(_, f, _)| f).sum::<u64>(),
+            ops,
+            "per-link frames must sum to the traversals made"
+        );
+        assert_eq!(
+            rows.iter().map(|(_, _, b)| b).sum::<u64>(),
+            latency,
+            "per-link busy time must sum to the latencies returned"
+        );
     });
 }
 
@@ -415,9 +373,9 @@ fn machine_link_reports_follow_the_fabric() {
     check(8, |rng| {
         let wl = arb_workload(rng, 8);
         let kinds = [
-            (netcache::TopoKind::Single, 1usize),
-            (netcache::TopoKind::MultiRing, 2),
-            (netcache::TopoKind::StarOfRings, 1),
+            (TopoKind::Single, 1usize),
+            (TopoKind::MultiRing, 2),
+            (TopoKind::StarOfRings, 1),
         ];
         let (kind, rings) = kinds[rng.below(3) as usize];
         let cfg = SysConfig::base(Arch::NetCache)
@@ -425,15 +383,15 @@ fn machine_link_reports_follow_the_fabric() {
             .with_topology(kind)
             .with_rings(rings);
         cfg.validate().expect("valid topology");
-        let fabric = Fabric::new(&cfg);
+        let fabric = Fabric::new(&cfg).report();
         let streams: Vec<OpStream> = wl
             .iter()
             .map(|ops| OpStream::from_ops(ops.clone()))
             .collect();
         let r = run_streams(&cfg, streams, &mut EngineScratch::new());
-        assert_eq!(r.links.len(), fabric.links(), "one row per fabric link");
-        for (l, (name, _, _)) in r.links.iter().enumerate() {
-            assert_eq!(*name, fabric.link_name(l), "rows are in link-id order");
+        assert_eq!(r.links.len(), fabric.len(), "one row per fabric link");
+        for ((name, _, _), (link, _, _)) in r.links.iter().zip(&fabric) {
+            assert_eq!(name, link, "rows are in link-id order");
         }
         let total: u64 = r.links.iter().map(|(_, f, _)| f).sum();
         assert!(total > 0, "a shared workload must inject fabric frames");
