@@ -107,7 +107,7 @@ fn digits<const RADIX: u64>(mut v: u64, buf: &mut [u8], mut end: usize) -> usize
     }
 }
 
-/// Serializes a whole stream to text: the bytes [`write`] emits.
+/// Serializes a whole stream to text: the bytes [`write()`] emits.
 pub fn dump(ops: impl IntoIterator<Item = Op>) -> String {
     let mut text = Vec::new();
     write(&mut text, ops).expect("writing to a Vec cannot fail");

@@ -97,10 +97,11 @@ fn bench_cache() {
     let mut rng = Xoshiro256StarStar::seeded(1);
     bench("l2_read_fill_stream", 200, || {
         let a = rng.below(1 << 20) * 64;
-        if cache.read(a) == memsys::ReadOutcome::Miss {
+        let hit = cache.contains(a);
+        if !hit {
             cache.fill(a, false);
         }
-        black_box(cache.hits());
+        black_box(hit);
     });
 }
 
@@ -168,7 +169,7 @@ fn bench_ring() {
 
 /// The event-elision fast path's substrate on a materialized (`from_ops`,
 /// replay) stream: walk its `spill` slice of private-hitting ops, probing
-/// L1/L2 with the hit-only `read_hit` and folding compute cycles inline —
+/// the L1 with `contains` and folding compute cycles inline —
 /// the per-op cost that replaced a schedule/pop/dispatch round per op.
 /// One iter consumes a full run of 1024 ops, so divide ns/iter by ~1024
 /// for the per-elided-op cost.
@@ -206,7 +207,7 @@ fn bench_elide_private_run() {
                     busy += n as u64;
                 }
                 Op::Read(a) => {
-                    if !l1.read_hit(a) {
+                    if !l1.contains(a) {
                         break;
                     }
                     now += 1;
@@ -222,24 +223,14 @@ fn bench_elide_private_run() {
 }
 
 /// Ring idle-skip: the closed-form `next_frame_at` on the miss path of
-/// every NetCache insertion. The base geometry (fpc divides roundtrip)
-/// takes the O(1) arithmetic path; fpc = 3 cannot divide 40 and falls
-/// back to the per-frame scan, so the pair bounds the win.
+/// every NetCache insertion, O(1) on every geometry a machine accepts
+/// (frames divide the roundtrip).
 fn bench_ring_idle_skip() {
     let g = RingGeometry::base(16);
     let mut t = 0u64;
     bench("ring_idle_skip_closed", 200, || {
         t += 7;
         black_box(g.next_frame_at((t % 128) as usize, (t % 16) as usize, t));
-    });
-    let scan = RingGeometry {
-        frames_per_channel: 3,
-        ..RingGeometry::base(16)
-    };
-    let mut ts = 0u64;
-    bench("ring_idle_skip_scan", 200, || {
-        ts += 7;
-        black_box(scan.next_frame_at((ts % 128) as usize, (ts % 16) as usize, ts));
     });
 }
 

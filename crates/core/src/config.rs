@@ -1,6 +1,7 @@
 //! System configuration: every knob of the paper's base machine (§4.1) and
 //! parameter-space study (§5.3–5.4) in one place.
 
+use crate::topology::CLUSTER_MAX;
 use memsys::{CacheCfg, MemoryCfg};
 use optics::{OpticalParams, RingGeometry};
 
@@ -371,6 +372,9 @@ impl SysConfig {
                 self.ring.channels, self.nodes
             ));
         }
+        if self.ring.enabled() && self.ring.roundtrip == 0 {
+            return Err("an enabled ring needs a roundtrip of at least 1 pcycle (got 0)".into());
+        }
         if self.ring.enabled()
             && !self
                 .ring
@@ -413,11 +417,11 @@ impl SysConfig {
             }
         }
         if self.topo.kind == TopoKind::StarOfRings
-            && self.nodes > 16
-            && !self.nodes.is_multiple_of(16)
+            && self.nodes > CLUSTER_MAX
+            && !self.nodes.is_multiple_of(CLUSTER_MAX)
         {
             return Err(format!(
-                "star-of-rings needs nodes ≤ 16 or a multiple of 16 (got {})",
+                "star-of-rings needs nodes ≤ {CLUSTER_MAX} or a multiple of {CLUSTER_MAX} (got {})",
                 self.nodes
             ));
         }
@@ -461,6 +465,20 @@ mod tests {
         assert_eq!(c.ring.roundtrip, 20);
         // Capacity is invariant.
         assert_eq!(c.ring.capacity_bytes(), 32 * 1024);
+    }
+
+    #[test]
+    fn validation_rejects_a_zero_ring_roundtrip() {
+        // 400 / 1000 rounds to 0, and the ring's frame-phase arithmetic
+        // takes every time modulo the roundtrip.
+        let c = SysConfig::base(Arch::NetCache).with_rate_gbps(1000.0);
+        assert_eq!(c.ring.roundtrip, 0);
+        let e = c.validate().unwrap_err();
+        assert!(e.contains("roundtrip"), "{e}");
+        // Without a ring the roundtrip is never read.
+        let mut no_ring = c;
+        no_ring.ring.channels = 0;
+        assert!(no_ring.validate().is_ok());
     }
 
     #[test]

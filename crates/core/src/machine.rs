@@ -19,7 +19,7 @@ use std::time::Instant;
 
 use crate::sharers::SharerMap;
 use desim::{EventQueue, Time};
-use memsys::{Addr, AddressMap, PushOutcome, ReadOutcome};
+use memsys::{Addr, AddressMap, PushOutcome};
 use netcache_apps::{MacroOp, Nest, Op, OpStream, Slot, Workload};
 
 use crate::config::SysConfig;
@@ -103,9 +103,6 @@ struct ElideEnv<'a> {
     pace: u64,
     retiring: bool,
     p: usize,
-    /// Reads that hit node-private state may retire inline (see
-    /// `Machine::elide_read_hits`).
-    elide_read_hits: bool,
     /// Batch segmentation granularity: the finest private line size
     /// (L1 lines may be smaller than the coherence block), so a segment
     /// never spans two L1 lines and one probe speaks for every address.
@@ -116,8 +113,7 @@ impl ElideEnv<'_> {
     /// Applies one scalar op exactly as the general path would, for the
     /// elision-safe classes. Returns `false` — with *nothing* mutated —
     /// when the op must go to the general path instead: a sync op, a
-    /// read with read-hit elision off or missing all node-private state,
-    /// or a write that would stall.
+    /// read missing all node-private state, or a write that would stall.
     #[inline]
     fn apply(&mut self, op: Op, now: &mut Time) -> bool {
         match op {
@@ -127,13 +123,13 @@ impl ElideEnv<'_> {
                 self.st.busy += scaled;
                 true
             }
-            Op::Read(addr) if self.elide_read_hits => {
-                if self.node.l1.read_hit(addr) {
+            Op::Read(addr) => {
+                if self.node.l1.contains(addr) {
                     self.st.reads += 1;
                     self.st.l1_hits += 1;
                     self.st.busy += 1;
                     *now += 1;
-                } else if self.node.l2.read_hit(addr) {
+                } else if self.node.l2.contains(addr) {
                     self.st.reads += 1;
                     self.st.l2_hits += 1;
                     self.node.l1.fill(addr, false);
@@ -170,72 +166,49 @@ impl ElideEnv<'_> {
                 *now += 1;
                 self.st.busy += 1;
                 self.st.writes += 1;
-                self.node.l1.write_update(addr, false);
-                self.node.l2.write_update(addr, false);
                 if !self.retiring && !*self.kick_pending {
                     *self.kick_pending = true;
                     schedule_clamped(self.queue, *now, Event::WbKick(self.p));
                 }
                 true
             }
-            // Sync ops (and reads without read-hit elision): general path.
+            // Sync ops: general path.
             _ => false,
         }
     }
 
-    /// Iterations of an affine walk from `a` with step `stride` that stay
-    /// inside `a`'s finest private line (`seg_bytes`), capped at `rem`.
-    /// A zero stride never leaves the line. L1 lines nest inside L2
-    /// blocks, so a segment also stays within one coherence block and one
-    /// write-buffer entry.
-    #[inline]
-    fn seg_iters(&self, a: Addr, stride: u64, rem: u64) -> u64 {
-        if stride == 0 {
-            return rem;
-        }
-        let gap = self.seg_bytes - (a & (self.seg_bytes - 1));
-        let iters = if stride.is_power_of_two() {
-            (gap + stride - 1) >> stride.trailing_zeros()
-        } else {
-            gap.div_ceil(stride)
-        };
-        iters.min(rem)
-    }
-
-    /// [`seg_iters`](Self::seg_iters) at coherence-block granularity:
-    /// iterations of the walk that stay inside `a`'s block, capped at
-    /// `rem`. One write-buffer entry (and one L2 tag) covers the span;
-    /// the L1 lines inside it need no individual stamp refreshes because
-    /// elision only runs on direct-mapped caches, where stamps never
-    /// influence a victim choice.
-    #[inline]
-    fn blk_iters(&self, a: Addr, stride: u64, rem: u64) -> u64 {
-        if stride == 0 {
-            return rem;
-        }
-        let gap = self.map.block_bytes - (a & (self.map.block_bytes - 1));
-        let iters = if stride.is_power_of_two() {
-            (gap + stride - 1) >> stride.trailing_zeros()
-        } else {
-            gap.div_ceil(stride)
-        };
-        iters.min(rem)
-    }
-
     /// Commits a batch of `w` same-block writes whose buffer entry
-    /// already exists: one coalescing probe, one stamp update per cache.
-    /// No stall is possible and no kick is needed — the push that created
-    /// the entry scheduled one, or a retirement is already in flight.
+    /// already exists: one coalescing probe. No stall is possible and no
+    /// kick is needed — the push that created the entry scheduled one, or
+    /// a retirement is already in flight.
     #[inline]
     fn commit_coalesced(&mut self, idx: usize, a: Addr, mask: u32, w: u64, now: &mut Time) {
         self.node.wb.coalesce_at(idx, self.map.block_of(a), mask, w);
         debug_assert!(self.retiring || *self.kick_pending);
-        self.node.l1.write_update_run(a, w, false);
-        self.node.l2.write_update_run(a, w, false);
         self.st.writes += w;
         self.st.busy += w;
         *now += w;
     }
+}
+
+/// Iterations of an affine walk from `a` with step `stride` that stay
+/// inside `a`'s aligned `span`-byte region (a power of two), capped at
+/// `rem`. A zero stride never leaves the region. The elided path spans
+/// the finest private line (one probe speaks for every address in it) or
+/// the coherence block (one write-buffer entry and one L2 tag cover it);
+/// L1 lines nest inside L2 blocks, so a line span stays in one block.
+#[inline]
+fn span_iters(a: Addr, stride: u64, rem: u64, span: u64) -> u64 {
+    if stride == 0 {
+        return rem;
+    }
+    let gap = span - (a & (span - 1));
+    let iters = if stride.is_power_of_two() {
+        (gap + stride - 1) >> stride.trailing_zeros()
+    } else {
+        gap.div_ceil(stride)
+    };
+    iters.min(rem)
 }
 
 /// Reusable cross-run allocations. A sweep runs thousands of machines
@@ -277,12 +250,6 @@ pub(crate) struct Machine<P: Protocol> {
     /// Per processor: a WbKick event is already scheduled.
     kick_pending: Vec<bool>,
     live: usize,
-    /// Reads that hit node-private state may retire on the elided fast
-    /// path (see [`Machine::elide_run`]). Read-hit probes skip the
-    /// LRU/miss bookkeeping a canonical miss performs; that is
-    /// unobservable only when replacement never has a choice, i.e. both
-    /// private caches are direct-mapped.
-    elide_read_hits: bool,
     /// Ops retired across all processors (any path).
     ops_done: u64,
     /// Ops retired inside elided runs.
@@ -348,7 +315,6 @@ impl<P: Protocol> Machine<P> {
             stats: vec![NodeStats::default(); n],
             kick_pending: vec![false; n],
             live: n,
-            elide_read_hits: cfg.l1.assoc == 1 && cfg.l2.assoc == 1,
             ops_done: 0,
             elided: 0,
             sharers: SharerMap::new(),
@@ -511,11 +477,11 @@ impl<P: Protocol> Machine<P> {
     /// Executes one read; returns the completion time.
     fn do_read(&mut self, p: usize, addr: u64, now: Time) -> Time {
         self.stats[p].reads += 1;
-        if self.nodes[p].l1.read(addr) == ReadOutcome::Hit {
+        if self.nodes[p].l1.contains(addr) {
             self.stats[p].l1_hits += 1;
             return now + 1;
         }
-        if self.nodes[p].l2.read(addr) == ReadOutcome::Hit {
+        if self.nodes[p].l2.contains(addr) {
             self.stats[p].l2_hits += 1;
             self.nodes[p].l1.fill(addr, false);
             return now + self.cfg.l2_hit_latency;
@@ -563,11 +529,11 @@ impl<P: Protocol> Machine<P> {
     /// stays inside node-private state retires in O(lines touched) — one
     /// cache or buffer probe per distinct private line — instead of
     /// O(ops). The batched commits reproduce the scalar mutations to the
-    /// bit: counters and local time are additive, and same-line run
-    /// probes leave the final LRU stamp and dirty bits identical to the
-    /// per-op loop. Any op the batch analysis cannot prove safe falls
-    /// back to the scalar path, which bails to the general path exactly
-    /// where the per-op engine did.
+    /// bit: counters and local time are additive, and a cache probe
+    /// mutates nothing, so one probe per line speaks for every op in it.
+    /// Any op the batch analysis cannot prove safe falls back to the
+    /// scalar path, which bails to the general path exactly where the
+    /// per-op engine did.
     fn elide_run(&mut self, p: usize, now: &mut Time, deadline: Time) {
         // The nest is copied out of the stream borrow on purpose: the
         // retirement loop below consumes the stream mutably, and one
@@ -606,7 +572,6 @@ impl<P: Protocol> Machine<P> {
             kick_pending,
             map,
             cfg,
-            elide_read_hits,
             ops_done,
             elided,
             ..
@@ -624,7 +589,6 @@ impl<P: Protocol> Machine<P> {
             // fires from the event queue, which we are not touching.
             retiring: proc.retiring,
             p,
-            elide_read_hits: *elide_read_hits,
             seg_bytes: cfg.l1.block_bytes.min(map.block_bytes),
         };
         let stream = &mut proc.stream;
@@ -722,21 +686,18 @@ impl<P: Protocol> Machine<P> {
                     stride,
                     mut rem,
                 } => {
-                    if !env.elide_read_hits {
-                        break 'run;
-                    }
                     let mut taken = 0u64;
                     let mut missed = false;
                     while rem > 0 && *now <= deadline {
-                        let seg = env.seg_iters(a, stride, rem);
+                        let seg = span_iters(a, stride, rem, env.seg_bytes);
                         let k_l1 = seg.min(deadline - *now + 1);
-                        let k = if env.node.l1.read_hit_run(a, k_l1) {
+                        let k = if env.node.l1.contains(a) {
                             env.st.reads += k_l1;
                             env.st.l1_hits += k_l1;
                             env.st.busy += k_l1;
                             *now += k_l1;
                             k_l1
-                        } else if env.node.l2.read_hit(a) {
+                        } else if env.node.l2.contains(a) {
                             // One scalar op; its L1 fill promotes the rest
                             // of the line for the next round.
                             env.st.reads += 1;
@@ -777,9 +738,8 @@ impl<P: Protocol> Machine<P> {
                     let mut full = false;
                     while rem > 0 && *now <= deadline {
                         // Batch at coherence-block granularity: one buffer
-                        // entry covers the span (L1 stamp order inside it
-                        // is unobservable on direct-mapped caches).
-                        let seg = env.blk_iters(a, stride, rem);
+                        // entry covers the span.
+                        let seg = span_iters(a, stride, rem, env.map.block_bytes);
                         // The block's first write goes through the exact
                         // scalar arm: the full-buffer bail and the kick
                         // scheduling live there.
@@ -823,11 +783,6 @@ impl<P: Protocol> Machine<P> {
                     }
                 }
                 Head::Nested(nest) => {
-                    if !env.elide_read_hits {
-                        // Mixed bodies want read-hit elision; the general
-                        // path retires them op by op.
-                        break 'run;
-                    }
                     let n = nest.n();
                     let wmask = nest.wmask();
                     let slots = nest.slots();
@@ -853,9 +808,7 @@ impl<P: Protocol> Machine<P> {
                         // inside their current coherence block (one buffer
                         // entry, one L2 tag), and read slots may cross L1
                         // lines as long as every touched line is resident
-                        // (probed line by line below). Stamp order inside a
-                        // batch is unobservable under the direct-mapped
-                        // gate that enables this path.
+                        // (probed line by line below).
                         let mut seg = n - it;
                         let mut bulk_ok = true;
                         // Write slots opening a fresh buffer entry this
@@ -891,7 +844,7 @@ impl<P: Protocol> Machine<P> {
                                     _ => continue,
                                 };
                                 let a = base + it * stride;
-                                seg = seg.min(env.blk_iters(a, stride, seg));
+                                seg = seg.min(span_iters(a, stride, seg, env.map.block_bytes));
                                 match env.node.wb.find_block(env.map.block_of(a)) {
                                     Some(i) => widx[si] = i as u8,
                                     None => {
@@ -929,13 +882,13 @@ impl<P: Protocol> Machine<P> {
                                     }
                                     // Extend the verified span line by
                                     // line up to the current clamp.
-                                    let mut ok = env.seg_iters(a, stride, seg);
+                                    let mut ok = span_iters(a, stride, seg, env.seg_bytes);
                                     while ok < seg {
                                         let nxt = a + ok * stride;
                                         if !env.node.l1.contains(nxt) {
                                             break;
                                         }
-                                        ok += env.seg_iters(nxt, stride, seg - ok);
+                                        ok += span_iters(nxt, stride, seg - ok, env.seg_bytes);
                                     }
                                     seg = ok;
                                 }
@@ -956,9 +909,9 @@ impl<P: Protocol> Machine<P> {
                                         done += k;
                                     }
                                     Slot::Read { base, stride } => {
-                                        let a = base + it * stride;
-                                        let hit = env.node.l1.read_hit_run(a, k);
-                                        debug_assert!(hit);
+                                        // Verified above; nothing in a
+                                        // batch fills or evicts.
+                                        debug_assert!(env.node.l1.contains(base + it * stride));
                                         env.st.reads += k;
                                         env.st.l1_hits += k;
                                         env.st.busy += k;
@@ -1160,9 +1113,6 @@ impl<P: Protocol> Machine<P> {
                             now += 1;
                             self.stats[p].busy += 1;
                             self.stats[p].writes += 1;
-                            // The writer's own caches see the new value.
-                            self.nodes[p].l1.write_update(addr, false);
-                            self.nodes[p].l2.write_update(addr, false);
                             if !self.procs[p].retiring && !self.kick_pending[p] {
                                 self.kick_pending[p] = true;
                                 schedule_clamped(&mut self.queue, now, Event::WbKick(p));

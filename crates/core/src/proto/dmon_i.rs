@@ -269,7 +269,7 @@ impl Protocol for DmonI {
         // Already the owner with the block cached: a pure local write.
         if self.owner.get(block) == Some(node) && nodes[node].l2.contains(entry.addr) {
             self.counters.local_writes += 1;
-            nodes[node].l2.write_update(entry.addr, true);
+            nodes[node].l2.mark_dirty(entry.addr);
             return t + consts::L2_TAG + consts::DMONI_LOCAL_WRITE;
         }
         // Write miss: allocate the line directly in exclusive-dirty state.
@@ -286,7 +286,7 @@ impl Protocol for DmonI {
         }
         // Broadcast the invalidation; we own the (dirty) block afterwards.
         let ack = self.invalidate(nodes, node, entry.addr, t);
-        nodes[node].l2.write_update(entry.addr, true);
+        nodes[node].l2.mark_dirty(entry.addr);
         ack
     }
 

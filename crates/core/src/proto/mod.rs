@@ -164,8 +164,8 @@ pub trait Protocol {
 }
 
 /// Applies an update's side effects at every node other than the writer
-/// (update protocols, §4.1): refresh the L2 copy in place, invalidate the
-/// L1 copy.
+/// (update protocols, §4.1): the L2 copy is refreshed in place (counted
+/// only: a timing-only cache holds no data) and the L1 copy invalidated.
 pub(crate) fn apply_update_to_peers(
     nodes: &mut [Node],
     writer: usize,
@@ -184,7 +184,7 @@ pub(crate) fn apply_update_to_peers(
             break;
         }
         let n = &mut nodes[i];
-        if n.l2.write_update(addr, false) {
+        if n.l2.contains(addr) {
             counters.remote_l2_refreshes += 1;
         }
         if n.l1.invalidate(addr).is_some() {

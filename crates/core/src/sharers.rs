@@ -9,12 +9,12 @@
 //!
 //! # Why skipping is exact
 //!
-//! A node's caches can hold a block only after a fill: `write_update`
+//! A node's caches can hold a block only after a fill: an update
 //! refreshes in place and never allocates, and every peer-visible fill in
 //! the machine routes through one chokepoint that notes the bit here.
 //! Bits are never cleared — an eviction leaves a stale bit, which is a
 //! harmless extra probe (false positive), never a missed one. Hence: bit
-//! clear ⇒ the peer's `write_update`/`invalidate` would have returned
+//! clear ⇒ the peer's `contains`/`invalidate` would have returned
 //! "absent" ⇒ eliding the probe changes no state and no counter, and
 //! simulation results stay bit-for-bit identical.
 //!

@@ -272,7 +272,9 @@ pub fn cell_key(cfg: &SysConfig, wl: &Workload) -> u64 {
     for c in [&cfg.l1, &cfg.l2] {
         h.put(c.size_bytes);
         h.put(c.block_bytes);
-        h.put(c.assoc as u64);
+        // Associativity, 1 for a direct-mapped cache: hashing it keeps
+        // keys equal to those of stores written when it was a field.
+        h.put(1);
     }
     h.put(cfg.l2_hit_latency);
     h.put(cfg.wb_entries as u64);
@@ -830,6 +832,15 @@ mod tests {
             cell_key(&striped, &wl(AppId::Sor, 4, 0.02)),
             "ring count"
         );
+    }
+
+    #[test]
+    fn base_machine_key_is_pinned() {
+        // Every stored record is addressed by this hash: a change to what
+        // `cell_key` reads orphans them all, so it must be a deliberate
+        // re-pin of this constant.
+        let p = SweepPoint::new(SysConfig::base(Arch::NetCache), AppId::Sor, 0.1);
+        assert_eq!(point_key(&p), 0x9108_7bf5_a76f_5e7c);
     }
 
     #[test]

@@ -633,7 +633,7 @@ fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// joins. Each worker catches its own panic and parks the payload in a
 /// shared slot; remaining workers drain and stop at the next item
 /// boundary. All slot handoff locks recover from poisoning
-/// ([`lock_recovering`]), so a second panicking cell can never turn
+/// (`lock_recovering`), so a second panicking cell can never turn
 /// into a secondary `PoisonError` panic (which would either mask the
 /// original message or abort the process outright).
 pub fn par_map_with<I, O, S, G, F>(items: Vec<I>, jobs: usize, init: G, f: F) -> Vec<O>

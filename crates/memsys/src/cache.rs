@@ -1,22 +1,20 @@
-//! Tag-array cache models for the per-node L1 and L2.
+//! Tag-array cache model for the per-node L1 and L2.
 //!
-//! The simulation is timing-only: caches track *which* blocks are present
-//! (tags + valid + dirty), never data values. The model supports
-//! direct-mapped (the paper's base L1/L2), set-associative, and fully
-//! associative organizations with LRU within a set, which is what the
-//! parameter-space study needs.
+//! The simulation is timing-only: a cache tracks *which* blocks are
+//! present (tag + valid + dirty), never data values. Both private levels
+//! are direct-mapped, as in the paper's node (§4.1): a block can live in
+//! exactly one line, so a probe is one tag compare and a fill never has a
+//! victim to choose.
 
 use crate::addr::{Addr, BlockAddr};
 
-/// Static cache geometry.
+/// Static geometry of a direct-mapped cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheCfg {
     /// Total capacity in bytes.
     pub size_bytes: u64,
     /// Block (line) size in bytes; power of two.
     pub block_bytes: u64,
-    /// Ways per set; `0` means fully associative.
-    pub assoc: usize,
 }
 
 impl CacheCfg {
@@ -25,23 +23,12 @@ impl CacheCfg {
         Self {
             size_bytes,
             block_bytes,
-            assoc: 1,
         }
     }
 
     /// Number of lines.
     pub fn lines(&self) -> usize {
         (self.size_bytes / self.block_bytes) as usize
-    }
-
-    /// Number of sets.
-    pub fn sets(&self) -> usize {
-        let ways = if self.assoc == 0 {
-            self.lines()
-        } else {
-            self.assoc
-        };
-        (self.lines() / ways).max(1)
     }
 }
 
@@ -50,10 +37,9 @@ struct Line {
     tag: BlockAddr, // full block number (generous, but simple and correct)
     valid: bool,
     dirty: bool,
-    stamp: u64, // LRU clock
 }
 
-/// A victim chosen during a fill.
+/// A victim displaced by a fill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Evicted {
     /// Block number of the evicted line.
@@ -62,31 +48,14 @@ pub struct Evicted {
     pub dirty: bool,
 }
 
-/// Result of a read probe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadOutcome {
-    /// Block present.
-    Hit,
-    /// Block absent; caller must fetch and then call [`Cache::fill`].
-    Miss,
-}
-
-/// A timing-model cache: tags only, LRU replacement within a set.
+/// A direct-mapped timing-model cache: one tag per line.
 #[derive(Debug, Clone)]
 pub struct Cache {
-    cfg: CacheCfg,
-    sets: usize,
-    ways: usize,
     // Probe-path constants, precomputed once at construction: the elided
-    // fast path probes a cache up to four times per op, so even the
-    // trailing_zeros/is_power_of_two recomputation is worth hoisting.
+    // fast path probes a cache once or twice per op.
     blk_shift: u32,
-    set_mask: u64, // == sets-1 iff sets is a power of two, else u64::MAX
+    index_mask: u64, // == lines-1 iff lines is a power of two, else u64::MAX
     lines: Vec<Line>,
-    clock: u64,
-    // statistics
-    hits: u64,
-    misses: u64,
 }
 
 impl Cache {
@@ -95,176 +64,58 @@ impl Cache {
         assert!(cfg.block_bytes.is_power_of_two());
         assert!(cfg.size_bytes.is_multiple_of(cfg.block_bytes));
         let lines = cfg.lines();
-        let ways = if cfg.assoc == 0 { lines } else { cfg.assoc };
-        assert!(
-            lines.is_multiple_of(ways),
-            "lines must divide into whole sets"
-        );
-        let sets = lines / ways;
         Self {
-            cfg,
-            sets,
-            ways,
             blk_shift: cfg.block_bytes.trailing_zeros(),
-            set_mask: if sets.is_power_of_two() {
-                sets as u64 - 1
+            index_mask: if lines.is_power_of_two() {
+                lines as u64 - 1
             } else {
                 u64::MAX
             },
             lines: vec![Line::default(); lines],
-            clock: 0,
-            hits: 0,
-            misses: 0,
         }
     }
 
-    /// The geometry this cache was built with.
-    pub fn cfg(&self) -> &CacheCfg {
-        &self.cfg
-    }
-
+    /// The line `a`'s block maps to, and the block number.
     #[inline]
-    fn block_of(&self, a: Addr) -> BlockAddr {
+    fn index(&self, a: Addr) -> (usize, BlockAddr) {
         // block_bytes is asserted to be a power of two: shift, don't
         // divide (probes sit on the simulator's per-operation path).
-        a >> self.blk_shift
-    }
-
-    #[inline]
-    fn set_of(&self, b: BlockAddr) -> usize {
-        if self.set_mask != u64::MAX {
-            (b & self.set_mask) as usize
+        let b = a >> self.blk_shift;
+        let i = if self.index_mask != u64::MAX {
+            b & self.index_mask
         } else {
-            (b % self.sets as u64) as usize
-        }
+            b % self.lines.len() as u64
+        };
+        (i as usize, b)
     }
 
+    /// The line holding `a`'s block, if it is resident.
     #[inline]
-    fn set_range(&self, b: BlockAddr) -> std::ops::Range<usize> {
-        let s = self.set_of(b);
-        s * self.ways..(s + 1) * self.ways
+    fn resident(&mut self, a: Addr) -> Option<&mut Line> {
+        let (i, b) = self.index(a);
+        let line = &mut self.lines[i];
+        (line.valid && line.tag == b).then_some(line)
     }
 
-    /// Read access: updates LRU and hit/miss counters.
-    pub fn read(&mut self, a: Addr) -> ReadOutcome {
-        let b = self.block_of(a);
-        self.clock += 1;
-        let clock = self.clock;
-        for i in self.set_range(b) {
-            let line = &mut self.lines[i];
-            if line.valid && line.tag == b {
-                line.stamp = clock;
-                self.hits += 1;
-                return ReadOutcome::Hit;
-            }
-        }
-        self.misses += 1;
-        ReadOutcome::Miss
-    }
-
-    /// Hit-only read probe: on a hit, performs exactly the state changes
-    /// of [`Cache::read`] (LRU clock tick, stamp refresh, hit counter);
-    /// on a miss, touches *nothing* — no miss count, no clock tick. The
-    /// engine's elided fast path probes with this and bails out on a miss
-    /// with the cache bit-identical to never having probed, leaving the
-    /// canonical miss sequence to the slow path's `read()`.
+    /// Whether `a`'s block is resident. Mutates nothing.
     #[inline]
-    pub fn read_hit(&mut self, a: Addr) -> bool {
-        let b = self.block_of(a);
-        for i in self.set_range(b) {
-            if self.lines[i].valid && self.lines[i].tag == b {
-                self.clock += 1;
-                self.lines[i].stamp = self.clock;
-                self.hits += 1;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Block-granular read-hit probe: the batched form of `n` consecutive
-    /// [`Cache::read_hit`] calls to the same block. One tag probe; on a
-    /// hit, performs the aggregate state change of the `n` scalar probes
-    /// (clock advanced by `n`, stamp refreshed to the final clock, `n`
-    /// hits) and returns true; on a miss, touches nothing. The engine's
-    /// run-elision path retires a strided read run with one such probe per
-    /// distinct block instead of one probe per element.
-    #[inline]
-    pub fn read_hit_run(&mut self, a: Addr, n: u64) -> bool {
-        if n == 0 {
-            return self.contains(a);
-        }
-        let b = self.block_of(a);
-        for i in self.set_range(b) {
-            if self.lines[i].valid && self.lines[i].tag == b {
-                self.clock += n;
-                self.lines[i].stamp = self.clock;
-                self.hits += n;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Block-granular write-update: the batched form of `n` consecutive
-    /// [`Cache::write_update`] calls to the same block (clock advanced by
-    /// `n`; stamp refreshed to the final clock and dirtiness merged if the
-    /// block is present). Returns presence, like `write_update`.
-    #[inline]
-    pub fn write_update_run(&mut self, a: Addr, n: u64, dirty: bool) -> bool {
-        let b = self.block_of(a);
-        self.clock += n;
-        let clock = self.clock;
-        for i in self.set_range(b) {
-            let line = &mut self.lines[i];
-            if line.valid && line.tag == b {
-                line.stamp = clock;
-                line.dirty |= dirty;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Non-destructive presence check (no LRU or counter update).
     pub fn contains(&self, a: Addr) -> bool {
-        let b = self.block_of(a);
-        self.set_range(b)
-            .any(|i| self.lines[i].valid && self.lines[i].tag == b)
+        let (i, b) = self.index(a);
+        let line = &self.lines[i];
+        line.valid && line.tag == b
     }
 
     /// Inserts the block containing `a`, returning the victim if a valid
     /// line was displaced. `dirty` marks the new line (DMON-I exclusive
-    /// fills; update protocols always fill clean).
+    /// fills; update protocols always fill clean). A block already
+    /// resident (e.g. a racing fill) only merges `dirty`.
     pub fn fill(&mut self, a: Addr, dirty: bool) -> Option<Evicted> {
-        let b = self.block_of(a);
-        self.clock += 1;
-        let clock = self.clock;
-        let range = self.set_range(b);
-        // Already present (e.g., racing fill): refresh.
-        for i in range.clone() {
-            let line = &mut self.lines[i];
-            if line.valid && line.tag == b {
-                line.stamp = clock;
-                line.dirty |= dirty;
-                return None;
-            }
+        let (i, b) = self.index(a);
+        let line = &mut self.lines[i];
+        if line.valid && line.tag == b {
+            line.dirty |= dirty;
+            return None;
         }
-        // Prefer an invalid way.
-        let mut victim = range.start;
-        let mut oldest = u64::MAX;
-        for i in range {
-            let line = &self.lines[i];
-            if !line.valid {
-                victim = i;
-                break;
-            }
-            if line.stamp < oldest {
-                oldest = line.stamp;
-                victim = i;
-            }
-        }
-        let line = &mut self.lines[victim];
         let evicted = line.valid.then_some(Evicted {
             block: line.tag,
             dirty: line.dirty,
@@ -273,87 +124,25 @@ impl Cache {
             tag: b,
             valid: true,
             dirty,
-            stamp: clock,
         };
         evicted
     }
 
-    /// Applies a local write or a received update *in place*: marks the
-    /// block dirty if `dirty`, returns true if the block was present.
-    /// Does not allocate (update protocols do not write-allocate remotely).
-    pub fn write_update(&mut self, a: Addr, dirty: bool) -> bool {
-        let b = self.block_of(a);
-        self.clock += 1;
-        let clock = self.clock;
-        for i in self.set_range(b) {
-            let line = &mut self.lines[i];
-            if line.valid && line.tag == b {
-                line.stamp = clock;
-                line.dirty |= dirty;
-                return true;
-            }
+    /// Marks `a`'s block dirty if it is resident (DMON-I's owned line).
+    /// Never allocates.
+    pub fn mark_dirty(&mut self, a: Addr) {
+        if let Some(line) = self.resident(a) {
+            line.dirty = true;
         }
-        false
     }
 
     /// Invalidates the block containing `a`; returns the line's dirtiness
     /// if it was present.
     pub fn invalidate(&mut self, a: Addr) -> Option<bool> {
-        let b = self.block_of(a);
-        for i in self.set_range(b) {
-            let line = &mut self.lines[i];
-            if line.valid && line.tag == b {
-                line.valid = false;
-                return Some(line.dirty);
-            }
-        }
-        None
-    }
-
-    /// Clears the dirty bit (after a writeback); true if block was present.
-    pub fn clean(&mut self, a: Addr) -> bool {
-        let b = self.block_of(a);
-        for i in self.set_range(b) {
-            let line = &mut self.lines[i];
-            if line.valid && line.tag == b {
-                line.dirty = false;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Invalidates everything (used between disjoint program phases in
-    /// some unit tests).
-    pub fn flush(&mut self) {
-        for line in &mut self.lines {
+        self.resident(a).map(|line| {
             line.valid = false;
-        }
-    }
-
-    /// Read hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Read misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Hit rate over all reads (0.0 if no reads).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Number of currently valid lines.
-    pub fn valid_lines(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+            line.dirty
+        })
     }
 }
 
@@ -362,26 +151,24 @@ mod tests {
     use super::*;
 
     fn dm_cache() -> Cache {
-        // 4 lines of 64 B, direct-mapped.
+        // 4 lines of 64 B.
         Cache::new(CacheCfg::direct(256, 64))
     }
 
     #[test]
     fn cold_miss_then_hit() {
         let mut c = dm_cache();
-        assert_eq!(c.read(0), ReadOutcome::Miss);
-        c.fill(0, false);
-        assert_eq!(c.read(0), ReadOutcome::Hit);
-        assert_eq!(c.read(63), ReadOutcome::Hit, "same block");
-        assert_eq!(c.read(64), ReadOutcome::Miss, "next block");
-        assert_eq!(c.hits(), 2);
-        assert_eq!(c.misses(), 2);
+        assert!(!c.contains(0));
+        assert_eq!(c.fill(0, false), None, "cold fill displaces nothing");
+        assert!(c.contains(0));
+        assert!(c.contains(63), "same block");
+        assert!(!c.contains(64), "next block");
     }
 
     #[test]
     fn direct_mapped_conflict() {
         let mut c = dm_cache();
-        // Addresses 0 and 256 map to the same set (4 sets * 64 B).
+        // Addresses 0 and 256 map to the same line (4 lines * 64 B).
         c.fill(0, false);
         let ev = c.fill(256, false).expect("conflict evicts");
         assert_eq!(ev.block, 0);
@@ -401,58 +188,25 @@ mod tests {
     }
 
     #[test]
-    fn set_associative_lru() {
-        // 2 sets x 2 ways, 64 B blocks.
-        let mut c = Cache::new(CacheCfg {
-            size_bytes: 256,
-            block_bytes: 64,
-            assoc: 2,
-        });
-        // Blocks 0, 2, 4 all map to set 0 (block % 2 == 0).
-        c.fill(0, false);
-        c.fill(2 * 64, false);
-        assert_eq!(c.read(0), ReadOutcome::Hit); // 0 now MRU
-        let ev = c.fill(4 * 64, false).unwrap();
-        assert_eq!(ev.block, 2, "LRU way (block 2) evicted");
-        assert!(c.contains(0));
-    }
-
-    #[test]
-    fn fully_associative_uses_whole_capacity() {
-        let mut c = Cache::new(CacheCfg {
-            size_bytes: 256,
-            block_bytes: 64,
-            assoc: 0,
-        });
-        for b in 0..4u64 {
-            c.fill(b * 64, false);
-        }
-        for b in 0..4u64 {
-            assert!(c.contains(b * 64), "block {b} should fit");
-        }
-        // Fifth block evicts the LRU (block 0).
-        let ev = c.fill(4 * 64, false).unwrap();
-        assert_eq!(ev.block, 0);
-    }
-
-    #[test]
-    fn write_update_only_touches_present_blocks() {
+    fn mark_dirty_only_touches_present_blocks() {
         let mut c = dm_cache();
-        assert!(!c.write_update(0, true), "absent: no allocate");
+        c.mark_dirty(0);
+        assert!(!c.contains(0), "absent: no allocate");
         c.fill(0, false);
-        assert!(c.write_update(0, true));
+        c.mark_dirty(0);
         let ev = c.fill(256, false).unwrap();
-        assert!(ev.dirty, "update marked it dirty");
+        assert!(ev.dirty, "marked dirty");
     }
 
     #[test]
-    fn invalidate_and_clean() {
+    fn invalidate_reports_dirtiness() {
         let mut c = dm_cache();
         c.fill(0, true);
-        assert!(c.clean(0));
-        assert_eq!(c.invalidate(0), Some(false));
+        assert_eq!(c.invalidate(0), Some(true));
         assert_eq!(c.invalidate(0), None);
         assert!(!c.contains(0));
+        c.fill(0, false);
+        assert_eq!(c.invalidate(0), Some(false));
     }
 
     #[test]
@@ -467,65 +221,26 @@ mod tests {
 
     #[test]
     fn paper_l1_geometry() {
-        // 4 KB direct-mapped, 32 B blocks -> 128 lines.
-        let c = Cache::new(CacheCfg::direct(4 * 1024, 32));
-        assert_eq!(c.cfg().lines(), 128);
-        assert_eq!(c.cfg().sets(), 128);
-    }
-
-    #[test]
-    fn read_hit_probe_matches_read_on_hits_and_is_pure_on_misses() {
-        let mut probed = dm_cache();
-        let mut read = dm_cache();
-        probed.fill(0, false);
-        read.fill(0, false);
-        // Hit: identical state changes to read().
-        assert!(probed.read_hit(32));
-        assert_eq!(read.read(32), ReadOutcome::Hit);
-        assert_eq!(probed.hits(), read.hits());
-        // Miss: read_hit touches nothing (no miss count, no clock tick),
-        // so the later canonical read() sees a never-probed cache.
-        assert!(!probed.read_hit(256));
-        assert_eq!(probed.misses(), 0);
-        assert_eq!(read.read(256), ReadOutcome::Miss);
-        probed.read(256);
-        assert_eq!(probed.misses(), read.misses());
-    }
-
-    #[test]
-    fn run_probes_match_scalar_loops() {
-        let mut run = dm_cache();
-        let mut scalar = dm_cache();
-        run.fill(0, false);
-        scalar.fill(0, false);
-        assert!(run.read_hit_run(4, 3));
-        for _ in 0..3 {
-            assert!(scalar.read_hit(4));
+        // 4 KB direct-mapped, 32 B blocks -> 128 lines: 128 consecutive
+        // blocks all fit, and the 129th lands on block 0's line.
+        let cfg = CacheCfg::direct(4 * 1024, 32);
+        assert_eq!(cfg.lines(), 128);
+        let mut c = Cache::new(cfg);
+        for b in 0..128u64 {
+            assert_eq!(c.fill(b * 32, false), None, "block {b}");
         }
-        assert_eq!(run.hits(), scalar.hits());
-        // Miss: pure, like read_hit.
-        assert!(!run.read_hit_run(256, 5));
-        assert_eq!(run.misses(), 0);
-        // write_update_run merges dirtiness like n scalar updates and
-        // leaves the same eviction candidate behind.
-        assert!(run.write_update_run(32, 2, true));
-        for _ in 0..2 {
-            assert!(scalar.write_update(32, true));
-        }
-        let ev_run = run.fill(256, false).unwrap();
-        let ev_scalar = scalar.fill(256, false).unwrap();
-        assert_eq!(ev_run, ev_scalar);
-        assert!(ev_run.dirty);
-        assert!(!run.write_update_run(512, 4, true), "absent: no allocate");
+        assert!((0..128u64).all(|b| c.contains(b * 32)));
+        let ev = c.fill(128 * 32, false).expect("wraps onto line 0");
+        assert_eq!(ev.block, 0);
     }
 
     #[test]
-    fn flush_empties() {
-        let mut c = dm_cache();
+    fn non_power_of_two_line_count_maps_by_modulo() {
+        // 48 KB of 64 B lines = 768 lines: blocks 0 and 768 collide.
+        let mut c = Cache::new(CacheCfg::direct(48 * 1024, 64));
         c.fill(0, false);
-        c.fill(64, false);
-        assert_eq!(c.valid_lines(), 2);
-        c.flush();
-        assert_eq!(c.valid_lines(), 0);
+        c.fill(767 * 64, false);
+        assert_eq!(c.fill(768 * 64, false).map(|e| e.block), Some(0));
+        assert!(c.contains(767 * 64));
     }
 }

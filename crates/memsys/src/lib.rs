@@ -6,9 +6,8 @@
 //! * [`addr`] — the simulated physical address space: word/block
 //!   arithmetic, the shared/private split, and block-level interleaving of
 //!   shared data across home nodes (paper §4.1).
-//! * [`cache`] — tag-array cache models (direct-mapped, set-associative,
-//!   fully associative) used for the per-node L1/L2 and unit-tested against
-//!   classical cache behaviour.
+//! * [`cache`] — the direct-mapped tag array of the per-node L1 and L2
+//!   (paper §4.1): one tag compare per probe, no replacement state.
 //! * [`wbuf`] — the 16-entry *coalescing write buffer* (paper §4.1): writes
 //!   to the same block merge into one entry carrying a word mask, so an
 //!   update message transfers only the words actually modified.
@@ -22,6 +21,6 @@ pub mod memory;
 pub mod wbuf;
 
 pub use addr::{Addr, AddressMap, BlockAddr, NodeId, WordIdx};
-pub use cache::{Cache, CacheCfg, Evicted, ReadOutcome};
+pub use cache::{Cache, CacheCfg, Evicted};
 pub use memory::{MemoryCfg, MemoryModule};
 pub use wbuf::{CoalescingWriteBuffer, PushOutcome, WriteEntry};

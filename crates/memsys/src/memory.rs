@@ -9,7 +9,7 @@
 //! `read_latency` so the parameter-space study (Fig. 15: 44/76/108) can
 //! sweep it directly.
 //!
-//! The module serializes requests in FIFO order ("memory contention [is]
+//! The module serializes requests in FIFO order ("memory contention \[is\]
 //! fully modeled"), and implements the update-ack *hysteresis* flow control
 //! of §3.4: an update's ack is returned immediately unless the module's
 //! queued backlog exceeds the hysteresis point, in which case the ack is

@@ -122,46 +122,31 @@ impl RingGeometry {
     /// paper's replacement victim ("the block contained in the next shared
     /// cache line to pass through the node").
     ///
-    /// This sits on the miss path of every NetCache insertion, so when the
-    /// frames divide the roundtrip evenly (every paper geometry does) the
-    /// answer is computed arithmetically instead of scanning the channel:
-    /// in node-local phase `c`, frame boundaries sit at multiples of the
+    /// This sits on the miss path of every NetCache insertion, so it is
+    /// computed arithmetically instead of scanning the channel: in
+    /// node-local phase `c`, frame boundaries sit at multiples of the
     /// frame spacing, so the next boundary is the smallest multiple
     /// `m·spacing ≥ c` and the victim is frame `m-1` (frame `fpc-1` wraps
     /// to phase 0). Boundary phases are distinct, so no tie-break is
-    /// needed; [`Self::next_frame_scan`] remains as the fallback for
-    /// irregular geometries and as the differential-test oracle.
+    /// needed. The geometry must have frames that divide a non-zero
+    /// roundtrip evenly, as every machine `SysConfig::validate` accepts
+    /// does.
     pub fn next_frame_at(&self, channel: usize, node: usize, now: Time) -> (RingSlot, Time) {
         let r = self.roundtrip;
         let sp = self.frame_spacing();
-        let fpc = self.frames_per_channel as u64;
-        if sp > 0 && sp * fpc == r {
-            let c = (now % r + r - self.node_offset(node)) % r;
-            return if c == 0 {
-                let frame = self.frames_per_channel - 1;
-                (RingSlot { channel, frame }, now)
-            } else {
-                let m = c.div_ceil(sp);
-                let frame = (m - 1) as usize;
-                (RingSlot { channel, frame }, now + m * sp - c)
-            };
+        debug_assert!(
+            sp > 0 && sp * self.frames_per_channel as u64 == r,
+            "frames must divide a non-zero roundtrip evenly"
+        );
+        let c = (now % r + r - self.node_offset(node)) % r;
+        if c == 0 {
+            let frame = self.frames_per_channel - 1;
+            (RingSlot { channel, frame }, now)
+        } else {
+            let m = c.div_ceil(sp);
+            let frame = (m - 1) as usize;
+            (RingSlot { channel, frame }, now + m * sp - c)
         }
-        self.next_frame_scan(channel, node, now)
-    }
-
-    /// Scan-based `next_frame_at`: checks every frame's boundary time and
-    /// keeps the soonest (first wins on a tie).
-    fn next_frame_scan(&self, channel: usize, node: usize, now: Time) -> (RingSlot, Time) {
-        let mut best: Option<(RingSlot, Time)> = None;
-        for frame in 0..self.frames_per_channel {
-            let slot = RingSlot { channel, frame };
-            let t = self.frame_ready_at(slot, node, now) - self.read_overhead;
-            match best {
-                Some((_, bt)) if bt <= t => {}
-                _ => best = Some((slot, t)),
-            }
-        }
-        best.expect("frames_per_channel > 0")
     }
 }
 
@@ -280,14 +265,32 @@ mod tests {
         assert_eq!(t, 40);
     }
 
+    /// The oracle for `next_frame_at`: checks every frame's boundary time
+    /// and keeps the soonest (first wins on a tie).
+    fn next_frame_scan(
+        g: &RingGeometry,
+        channel: usize,
+        node: usize,
+        now: Time,
+    ) -> (RingSlot, Time) {
+        let mut best: Option<(RingSlot, Time)> = None;
+        for frame in 0..g.frames_per_channel {
+            let slot = RingSlot { channel, frame };
+            let t = g.frame_ready_at(slot, node, now) - g.read_overhead;
+            match best {
+                Some((_, bt)) if bt <= t => {}
+                _ => best = Some((slot, t)),
+            }
+        }
+        best.expect("frames_per_channel > 0")
+    }
+
     #[test]
     fn next_frame_closed_form_matches_scan() {
-        // The arithmetic fast path must agree with the exhaustive scan at
-        // every clock phase, node, and frame count — including fpc = 3,
-        // where the spacing does not divide the roundtrip and the closed
-        // form must defer to the scan.
+        // The closed form must agree with the exhaustive scan at every
+        // clock phase, node, and frame count that divides the roundtrip.
         for nodes in [4usize, 16] {
-            for fpc in [1usize, 2, 3, 4, 8] {
+            for fpc in [1usize, 2, 4, 8] {
                 let g = RingGeometry {
                     frames_per_channel: fpc,
                     ..RingGeometry::base(nodes)
@@ -296,7 +299,7 @@ mod tests {
                     for now in 0..(2 * g.roundtrip + 3) {
                         assert_eq!(
                             g.next_frame_at(0, node, now),
-                            g.next_frame_scan(0, node, now),
+                            next_frame_scan(&g, 0, node, now),
                             "fpc {fpc} node {node} now {now}"
                         );
                     }

@@ -6,15 +6,16 @@
 //! property over many independently seeded cases of the simulator's own
 //! deterministic RNG and reports the failing seed, which reproduces the
 //! case exactly (re-run with that seed to shrink by hand). The properties
-//! themselves are unchanged from the original proptest suite.
+//! themselves are those of the original proptest suite, except that the
+//! cache's now checks the direct-mapped model the caches follow.
 
 use netcache::apps::{Op, OpStream};
 use netcache::mem::addr::SHARED_BASE;
-use netcache::mem::{Cache, CacheCfg, CoalescingWriteBuffer, ReadOutcome};
+use netcache::mem::{Cache, CacheCfg, CoalescingWriteBuffer, Evicted};
 use netcache::sim::Xoshiro256StarStar;
 use netcache::sim::{EventQueue, FifoServer, SlottedServer};
 use netcache::{run_streams, Arch, EngineScratch, RingCache, RingConfig, RingLookup, SysConfig};
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 
 /// Runs `f` over `cases` independently seeded RNGs; a panic inside one
 /// case is re-raised tagged with the seed that reproduces it.
@@ -128,45 +129,46 @@ fn slotted_server_respects_tdma() {
 }
 
 // ---------------------------------------------------------------------
-// Cache vs. a reference model (set of resident blocks with per-set
-// capacity): presence always agrees.
+// Cache vs. a direct-mapped reference model (one block per line):
+// presence, fill victims, invalidations and dirty marks always agree.
 
 #[test]
 fn cache_matches_reference_model() {
     check(64, |rng| {
-        let ops = rand_vec(rng, 1, 400, |r| (r.below(64), r.chance(0.5)));
-        // 4 sets x 2 ways, 64 B blocks.
-        let mut c = Cache::new(CacheCfg {
-            size_bytes: 512,
-            block_bytes: 64,
-            assoc: 2,
-        });
-        // reference: per set, LRU list of blocks (max 2).
-        let mut sets: Vec<VecDeque<u64>> = vec![VecDeque::new(); 4];
-        for &(block, is_fill) in &ops {
+        let ops = rand_vec(rng, 1, 400, |r| (r.below(64), r.below(3), r.chance(0.5)));
+        // 8 lines of 64 B.
+        let mut c = Cache::new(CacheCfg::direct(512, 64));
+        // reference: the (block, dirty) each line holds.
+        let mut lines: Vec<Option<(u64, bool)>> = vec![None; 8];
+        for &(block, kind, dirty) in &ops {
             let a = block * 64;
-            let set = (block % 4) as usize;
-            let resident = sets[set].contains(&block);
+            let line = &mut lines[(block % 8) as usize];
+            let resident = matches!(*line, Some((b, _)) if b == block);
             assert_eq!(c.contains(a), resident, "block {}", block);
-            if is_fill {
-                if c.read(a) == ReadOutcome::Miss {
-                    c.fill(a, false);
-                    if resident {
-                        unreachable!();
-                    }
-                    if sets[set].len() == 2 {
-                        sets[set].pop_front();
-                    }
-                    sets[set].push_back(block);
-                } else {
-                    // refresh LRU position
-                    let pos = sets[set].iter().position(|&b| b == block).unwrap();
-                    sets[set].remove(pos);
-                    sets[set].push_back(block);
+            match kind {
+                0 => {
+                    let victim = match *line {
+                        Some((b, d)) if b == block => {
+                            *line = Some((b, d || dirty));
+                            None
+                        }
+                        old => {
+                            *line = Some((block, dirty));
+                            old.map(|(b, d)| Evicted { block: b, dirty: d })
+                        }
+                    };
+                    assert_eq!(c.fill(a, dirty), victim, "fill of block {}", block);
                 }
-            } else if c.invalidate(a).is_some() {
-                let pos = sets[set].iter().position(|&b| b == block).unwrap();
-                sets[set].remove(pos);
+                1 => {
+                    let was = line.take_if(|(b, _)| *b == block).map(|(_, d)| d);
+                    assert_eq!(c.invalidate(a), was, "invalidate of block {}", block);
+                }
+                _ => {
+                    if resident {
+                        *line = Some((block, true));
+                    }
+                    c.mark_dirty(a);
+                }
             }
         }
     });

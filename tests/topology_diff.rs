@@ -1,19 +1,19 @@
-//! Topology-refactor differential guard.
+//! Topology differential guard.
 //!
-//! PR 9 moved the fixed star+ring fabric behind the `Topology` trait
-//! (`netcache_core::topology`). The refactor's contract is that the
-//! default `single` fabric is not merely *similar* to the pre-trait
-//! engine — it is **bit-for-bit identical**: every substituted hop
-//! latency equals the old `optics.flight` arithmetic exactly, and the
-//! new per-link accounting is digest-excluded bookkeeping.
+//! The fabric is one `Fabric` struct (`netcache_core::topology`): nodes
+//! per cluster, cache rings per cluster, and the hop flight. Its contract
+//! is that the default `single` fabric is not merely *similar* to the
+//! engine from before fabrics were configurable (commit c363f51) — it is
+//! **bit-for-bit identical**: every hop latency equals that engine's
+//! `optics.flight` arithmetic exactly, and the per-link accounting is
+//! digest-excluded bookkeeping.
 //!
 //! Three guards pin that contract:
 //!
-//! 1. [`PRE_REFACTOR`] — full-report digests captured from the engine
-//!    *immediately before* the trait landed (12 apps × 3 protocol
-//!    families at 8 nodes). These constants were produced by code that
-//!    no longer exists; if the trait-dispatched default ring drifts by
-//!    one cycle anywhere, a digest here flips.
+//! 1. [`PRE_REFACTOR`] — full-report digests captured from that engine
+//!    (12 apps × 3 protocol families at 8 nodes). These constants were
+//!    produced by code that no longer exists; if the default ring
+//!    drifts by one cycle anywhere, a digest here flips.
 //! 2. Multi-ring with C=1 stripes every block to ring 0 over the same
 //!    geometry, so it must equal the single ring as a full `RunReport`
 //!    (including the per-link vector), not just as a digest.
