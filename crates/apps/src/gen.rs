@@ -6,8 +6,9 @@
 //!   private region, so every app lays out its arrays the same way.
 //! * [`Chunk`] — a builder for one phase of operations: a bounded slice
 //!   of the program (a group of keys, rows, blocks or pixels), not a
-//!   whole iteration. Regular loops go in compressed as [`MacroOp`] runs
-//!   and [`Nest`]s; scalar pushes cover sync and irregular references.
+//!   whole iteration. Regular loops go in compressed as [`Nest`]s (a
+//!   flat affine run is a one-slot nest); scalar pushes cover sync and
+//!   irregular references.
 //!   Adjacent [`Op::Compute`]s coalesce so chunk sizes stay proportional
 //!   to the number of *references*, and the builder rejects pushes whose
 //!   scalar expansion would have coalesced across a macro boundary (the
@@ -87,13 +88,10 @@ fn first_op(m: &MacroOp) -> Option<Op> {
 }
 
 /// The last op a macro-op expands to, if any (seam checks). Cheap for
-/// every variant: nests walk one iteration's slots backward.
+/// both variants: nests walk one iteration's slots backward.
 fn last_op(m: &MacroOp) -> Option<Op> {
     match m {
         MacroOp::One(op) => Some(*op),
-        MacroOp::ComputeRun { cost, .. } => Some(Op::Compute(*cost)),
-        MacroOp::ReadRun { base, stride, n } => Some(Op::Read(base + (n - 1) * stride)),
-        MacroOp::WriteRun { base, stride, n } => Some(Op::Write(base + (n - 1) * stride)),
         MacroOp::Nest(nest) => {
             // Last iteration whose body emits anything, walked backward.
             for i in (0..nest.n()).rev() {
@@ -148,35 +146,6 @@ impl Chunk {
         self.ops.push(MacroOp::One(Op::Write(a)));
     }
 
-    /// Appends reads of elements `i0..i0+n` of the array at `base`
-    /// (consecutive, stride `elem` bytes).
-    #[inline]
-    pub fn read_run(&mut self, base: Addr, i0: u64, n: u64, elem: u64) {
-        match n {
-            0 => {}
-            1 => self.read(base, i0, elem),
-            _ => self.ops.push(MacroOp::ReadRun {
-                base: base + i0 * elem,
-                stride: elem,
-                n,
-            }),
-        }
-    }
-
-    /// Appends writes of elements `i0..i0+n` of the array at `base`.
-    #[inline]
-    pub fn write_run(&mut self, base: Addr, i0: u64, n: u64, elem: u64) {
-        match n {
-            0 => {}
-            1 => self.write(base, i0, elem),
-            _ => self.ops.push(MacroOp::WriteRun {
-                base: base + i0 * elem,
-                stride: elem,
-                n,
-            }),
-        }
-    }
-
     /// Appends `n` cycles of computation, merging with a preceding
     /// `Compute`.
     ///
@@ -195,7 +164,7 @@ impl Chunk {
                 *c = c.saturating_add(n);
                 return;
             }
-            Some(m @ (MacroOp::ComputeRun { .. } | MacroOp::Nest(_))) => {
+            Some(m @ MacroOp::Nest(_)) => {
                 assert!(
                     !matches!(last_op(m), Some(Op::Compute(_))),
                     "compute after a macro ending in Compute: seam would coalesce"
@@ -204,29 +173,6 @@ impl Chunk {
             _ => {}
         }
         self.ops.push(MacroOp::One(Op::Compute(n)));
-    }
-
-    /// Appends `n` separate `Compute(cost)` ops (not coalesced — distinct
-    /// scalar ops, e.g. one per element of an irregular loop with
-    /// references elided).
-    ///
-    /// # Panics
-    /// If preceded by a `Compute` (either side of the run would coalesce
-    /// in the scalar builder).
-    pub fn compute_run(&mut self, cost: u32, n: u64) {
-        if n == 0 {
-            return;
-        }
-        assert!(cost > 0, "zero-cost compute run");
-        assert!(
-            !matches!(self.ops.last().and_then(last_op), Some(Op::Compute(_))),
-            "compute run after Compute: seam would coalesce"
-        );
-        if n == 1 {
-            self.ops.push(MacroOp::One(Op::Compute(cost)));
-        } else {
-            self.ops.push(MacroOp::ComputeRun { cost, n });
-        }
     }
 
     /// Appends a loop nest.
@@ -406,30 +352,6 @@ mod tests {
         c.compute(2);
         let ops: Vec<Op> = c.into_macros().iter().flat_map(|m| m.expand()).collect();
         assert_eq!(ops, vec![Op::Compute(7), Op::Read(100), Op::Compute(2)]);
-    }
-
-    #[test]
-    fn chunk_runs_expand_to_consecutive_elements() {
-        let mut c = Chunk::default();
-        c.read_run(1000, 2, 3, 4);
-        c.write_run(2000, 0, 2, 8);
-        c.read_run(3000, 5, 1, 4); // single element: scalar
-        c.compute_run(2, 3);
-        let ops: Vec<Op> = c.into_macros().iter().flat_map(|m| m.expand()).collect();
-        assert_eq!(
-            ops,
-            vec![
-                Op::Read(1008),
-                Op::Read(1012),
-                Op::Read(1016),
-                Op::Write(2000),
-                Op::Write(2008),
-                Op::Read(3020),
-                Op::Compute(2),
-                Op::Compute(2),
-                Op::Compute(2),
-            ]
-        );
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! Two layers. The scalar [`Op`] is the unit of simulated work: one
 //! compute cycle bundle, one data reference, one sync operation. The
-//! compressed [`MacroOp`] is the unit of *transport*: generators describe
-//! their regular loops as runs and loop nests ([`Nest`]) instead of
-//! materializing every element, and the engine retires a whole run with a
+//! compressed [`MacroOp`] is the unit of *transport*: a scalar op, or a
+//! loop nest ([`Nest`]) that stands for a whole regular loop instead of
+//! materializing every element, and the engine retires a nest with a
 //! handful of block-granular probes. [`MacroOp::expand`] defines the
 //! scalar meaning of every macro-op; everything downstream (the stream's
 //! `Iterator` impl, the engine's fast path) must agree with it
@@ -109,9 +109,9 @@ impl Slot {
 /// order for each of `n` iterations. This is the macro-op that carries
 /// the *loop* instead of its elements: the inner loops of the regular
 /// kernels (wavefront, SOR, elimination, ...) interleave reads, compute,
-/// and writes per element, so a flat run enum could never compress them —
-/// a nest reproduces the exact interleaved scalar order while the engine
-/// retires whole block-segments of it at once.
+/// and writes per element, and a nest reproduces that exact interleaved
+/// scalar order while the engine retires whole block-segments of it at
+/// once. A one-slot nest is a flat affine run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Nest {
     n: u64,
@@ -223,39 +223,15 @@ impl Nest {
 
 /// A compressed element of a processor's program order. Every macro-op
 /// denotes the exact scalar sequence [`expand`](Self::expand) produces;
-/// generators use the compressed forms for their regular loops and
-/// [`One`](Self::One) for sync and irregular references.
+/// generators use [`Nest`](Self::Nest) for their regular loops (a flat
+/// affine run is a one-slot nest) and [`One`](Self::One) for sync and
+/// irregular references.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MacroOp {
     /// A single scalar op.
     One(Op),
-    /// `n` consecutive `Op::Compute(cost)`.
-    ComputeRun {
-        /// Cycles per op.
-        cost: u32,
-        /// Repetition count.
-        n: u64,
-    },
-    /// `Op::Read(base + i * stride)` for `i in 0..n`.
-    ReadRun {
-        /// Address at iteration 0.
-        base: Addr,
-        /// Byte step per iteration.
-        stride: u64,
-        /// Element count.
-        n: u64,
-    },
-    /// `Op::Write(base + i * stride)` for `i in 0..n`.
-    WriteRun {
-        /// Address at iteration 0.
-        base: Addr,
-        /// Byte step per iteration.
-        stride: u64,
-        /// Element count.
-        n: u64,
-    },
     /// A counted loop template (boxed: nests are rarer and much larger
-    /// than the flat variants).
+    /// than a scalar op, which keeps a macro-op at 16 bytes).
     Nest(Box<Nest>),
 }
 
@@ -266,9 +242,6 @@ impl MacroOp {
     pub fn total_iters(&self) -> u64 {
         match self {
             MacroOp::One(_) => 1,
-            MacroOp::ComputeRun { n, .. }
-            | MacroOp::ReadRun { n, .. }
-            | MacroOp::WriteRun { n, .. } => *n,
             MacroOp::Nest(nest) => nest.n,
         }
     }
@@ -277,9 +250,6 @@ impl MacroOp {
     pub fn ops_len(&self) -> u64 {
         match self {
             MacroOp::One(_) => 1,
-            MacroOp::ComputeRun { n, .. }
-            | MacroOp::ReadRun { n, .. }
-            | MacroOp::WriteRun { n, .. } => *n,
             MacroOp::Nest(nest) => nest.ops_len(),
         }
     }
@@ -310,32 +280,6 @@ impl Iterator for Expand<'_> {
                 if self.iter == 0 {
                     self.iter = 1;
                     Some(*op)
-                } else {
-                    None
-                }
-            }
-            MacroOp::ComputeRun { cost, n } => {
-                if self.iter < *n {
-                    self.iter += 1;
-                    Some(Op::Compute(*cost))
-                } else {
-                    None
-                }
-            }
-            MacroOp::ReadRun { base, stride, n } => {
-                if self.iter < *n {
-                    let a = base + self.iter * stride;
-                    self.iter += 1;
-                    Some(Op::Read(a))
-                } else {
-                    None
-                }
-            }
-            MacroOp::WriteRun { base, stride, n } => {
-                if self.iter < *n {
-                    let a = base + self.iter * stride;
-                    self.iter += 1;
-                    Some(Op::Write(a))
                 } else {
                     None
                 }
@@ -574,33 +518,13 @@ impl Iterator for OpStream {
                     self.mpos += 1;
                     return Some(op);
                 }
-                MacroOp::ComputeRun { cost, n } => {
-                    let (c, n) = (*cost, *n);
-                    self.bump_iter(n);
-                    return Some(Op::Compute(c));
-                }
-                MacroOp::ReadRun { base, stride, n } => {
-                    let (a, n) = (base + iter * stride, *n);
-                    self.bump_iter(n);
-                    return Some(Op::Read(a));
-                }
-                MacroOp::WriteRun { base, stride, n } => {
-                    let (a, n) = (base + iter * stride, *n);
-                    self.bump_iter(n);
-                    return Some(Op::Write(a));
-                }
-                MacroOp::Nest(_) => {
+                MacroOp::Nest(nest) => {
                     // Scalarize one iteration into the spill buffer and
                     // serve from there (it may be empty: all-masked).
                     self.sbuf.clear();
                     self.spos = 0;
-                    let n = match &self.mbuf[self.mpos] {
-                        MacroOp::Nest(nest) => {
-                            nest.expand_iter_into(iter, 0, &mut self.sbuf);
-                            nest.n
-                        }
-                        _ => unreachable!(),
-                    };
+                    nest.expand_iter_into(iter, 0, &mut self.sbuf);
+                    let n = nest.n;
                     self.bump_iter(n);
                 }
             }
@@ -728,6 +652,13 @@ mod tests {
         assert_eq!(s.next(), None);
     }
 
+    /// A one-slot nest of `n` iterations: the loop form of a flat run.
+    fn one_slot(n: u64, slot: impl FnOnce(&mut Nest) -> &mut Nest) -> MacroOp {
+        let mut nest = Nest::new(n);
+        slot(&mut nest);
+        MacroOp::Nest(Box::new(nest))
+    }
+
     fn sample_macros() -> Vec<MacroOp> {
         let mut nest = Nest::new(5);
         nest.read(1 << 20, 4)
@@ -739,18 +670,10 @@ mod tests {
         tail.compute(2).write(4096, 8);
         vec![
             MacroOp::One(Op::Acquire(1)),
-            MacroOp::ComputeRun { cost: 4, n: 3 },
-            MacroOp::ReadRun {
-                base: 640,
-                stride: 4,
-                n: 6,
-            },
+            one_slot(3, |b| b.compute(4)),
+            one_slot(6, |b| b.read(640, 4)),
             MacroOp::Nest(Box::new(nest)),
-            MacroOp::WriteRun {
-                base: 1 << 23,
-                stride: 16,
-                n: 4,
-            },
+            one_slot(4, |b| b.write(1 << 23, 16)),
             MacroOp::Nest(Box::new(tail)),
             MacroOp::One(Op::Release(1)),
         ]
@@ -780,7 +703,7 @@ mod tests {
 
     #[test]
     fn run_expansion_visits_exact_affine_addresses() {
-        // Property: ReadRun/WriteRun expansion visits exactly
+        // Property: a one-slot read or write nest expands to exactly
         // base + i*stride for i in 0..n, with no wraparound, for a spread
         // of (base, stride, n) drawn from a deterministic generator.
         let mut state = 0x9E3779B97F4A7C15u64;
@@ -794,12 +717,13 @@ mod tests {
             let base = rng() % (1 << 45);
             let stride = [0u64, 4, 8, 64, 4096][rng() as usize % 5];
             let n = 1 + rng() % 300;
-            let reads = MacroOp::ReadRun { base, stride, n };
-            let writes = MacroOp::WriteRun { base, stride, n };
+            let reads = one_slot(n, |b| b.read(base, stride));
+            let writes = one_slot(n, |b| b.write(base, stride));
             let got_r: Vec<Op> = reads.expand().collect();
             let got_w: Vec<Op> = writes.expand().collect();
             assert_eq!(got_r.len() as u64, n);
             assert_eq!(got_w.len() as u64, n);
+            assert_eq!((reads.ops_len(), writes.ops_len()), (n, n));
             for (i, (r, w)) in got_r.iter().zip(&got_w).enumerate() {
                 let a = base
                     .checked_add((i as u64).checked_mul(stride).unwrap())
@@ -831,19 +755,11 @@ mod tests {
 
     #[test]
     fn macro_cursor_crosses_chunk_refill_mid_run() {
-        // Start a run via next(), leaving the cursor mid-run: the engine's
-        // cursor resumes at that iteration, and consuming the rest
-        // refills across the chunk boundary.
-        let read = MacroOp::ReadRun {
-            base: 0,
-            stride: 4,
-            n: 5,
-        };
-        let write = MacroOp::WriteRun {
-            base: 1024,
-            stride: 8,
-            n: 4,
-        };
+        // Start a one-slot nest via next(), leaving the cursor mid-loop:
+        // the engine's cursor resumes at that iteration, and consuming
+        // the rest refills across the chunk boundary.
+        let read = one_slot(5, |b| b.read(0, 4));
+        let write = one_slot(4, |b| b.write(1024, 8));
         let mut s = phased(vec![vec![read.clone()], vec![write.clone()]]);
         assert_eq!(s.next(), Some(Op::Read(0)));
         assert_eq!(s.next(), Some(Op::Read(4)));
@@ -866,11 +782,7 @@ mod tests {
         let mut s = phased(vec![vec![
             MacroOp::One(Op::Compute(9)),
             MacroOp::Nest(Box::new(nest)),
-            MacroOp::ReadRun {
-                base: 1 << 20,
-                stride: 4,
-                n: 4,
-            },
+            one_slot(4, |b| b.read(1 << 20, 4)),
         ]]);
         assert!(s.spill().is_empty());
         assert!(matches!(s.macro_run()[0], MacroOp::One(Op::Compute(9))));
@@ -882,7 +794,8 @@ mod tests {
         assert_eq!(s.cur_iter(), 1);
         s.spill_iter_tail(1);
         assert_eq!(s.spill(), &[Op::Compute(2), Op::Write(4096 + 64)]);
-        // The iterator serves the spill, then iteration 2, then the run.
+        // The iterator serves the spill, then iteration 2, then the
+        // one-slot nest.
         let rest: Vec<Op> = s.collect();
         assert_eq!(
             rest,
@@ -917,6 +830,13 @@ mod tests {
             .take_while(|&c| c > 0)
             .collect();
         assert_eq!(kept, [cap; 3], "the fourth would pass SPARE_BYTES");
+    }
+
+    #[test]
+    fn a_macro_op_is_sixteen_bytes() {
+        // A scalar op, or a boxed nest in the op's niche: the refill
+        // budget (`gen::REFILL_BYTES`) counts 16 B per macro-op.
+        assert_eq!(std::mem::size_of::<MacroOp>(), 16);
     }
 
     #[test]

@@ -231,6 +231,17 @@ const MAX_NODES: usize = 64;
 /// times the largest ring the paper studies (64 KB, Figs. 8–10).
 const MAX_RING_KB: u64 = 16 * 1024;
 
+/// The largest private cache (L1 or L2), in bytes. Each node allocates
+/// a 16 B tag line for every cache line when the machine is built, so
+/// with the paper's 32 B and 64 B lines a cache at this cap costs 8 or
+/// 4 MB of host memory per node. It is 256 times the largest L2 the
+/// paper studies (64 KB, Fig. 13).
+const MAX_CACHE_BYTES: u64 = 16 << 20;
+
+/// The most write-buffer entries: the nest path keeps each write slot's
+/// buffer index in a `u8`, which holds the indices 0–255 and no more.
+const MAX_WB_ENTRIES: usize = 256;
+
 /// Full machine configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SysConfig {
@@ -383,6 +394,36 @@ impl SysConfig {
         {
             return Err("roundtrip must divide evenly into frames".into());
         }
+        for (name, c) in [("L1", self.l1), ("L2", self.l2)] {
+            if !c.block_bytes.is_power_of_two() {
+                return Err(format!(
+                    "{name} blocks must be a power of two bytes (got {})",
+                    c.block_bytes
+                ));
+            }
+            if c.size_bytes == 0 || !c.size_bytes.is_multiple_of(c.block_bytes) {
+                return Err(format!(
+                    "the {name} size ({} B) must be a non-zero multiple of its {} B block",
+                    c.size_bytes, c.block_bytes
+                ));
+            }
+            if c.size_bytes > MAX_CACHE_BYTES {
+                return Err(format!(
+                    "a {} KB {name} exceeds the {} KB limit",
+                    c.size_bytes / 1024,
+                    MAX_CACHE_BYTES / 1024
+                ));
+            }
+        }
+        if self.l2_hit_latency == 0 {
+            return Err("the L2 hit latency must be at least 1 pcycle (got 0)".into());
+        }
+        if !(1..=MAX_WB_ENTRIES).contains(&self.wb_entries) {
+            return Err(format!(
+                "write-buffer entries must lie in 1..={MAX_WB_ENTRIES} (got {})",
+                self.wb_entries
+            ));
+        }
         if self.l2.block_bytes != 64 {
             return Err("L2 blocks must be 64 B (the coherence unit)".into());
         }
@@ -503,6 +544,41 @@ mod tests {
             let e = c.with_ring_kb(kb).validate().unwrap_err();
             assert!(e.contains("KB limit"), "{kb} KB: {e}");
         }
+    }
+
+    #[test]
+    fn validation_names_unusable_node_geometry() {
+        // Each of these machines would fail inside the engine: a
+        // division by zero in the cache index, a cache or write-buffer
+        // constructor assertion, a wrapped read stall, or a write-buffer
+        // index that wraps in its `u8`.
+        let base = SysConfig::base(Arch::NetCache).with_nodes(4);
+        let with = |edit: fn(&mut SysConfig)| {
+            let mut c = base;
+            edit(&mut c);
+            c
+        };
+        let cases = [
+            (base.with_l2_kb(0), "L2 size (0 B)"),
+            (with(|c| c.l1.size_bytes = 0), "L1 size (0 B)"),
+            (with(|c| c.l1.block_bytes = 48), "L1 blocks"),
+            (with(|c| c.l1.size_bytes = 1000), "L1 size (1000 B)"),
+            (base.with_l2_kb(32 << 10), "KB L2 exceeds"),
+            (with(|c| c.l1.size_bytes = 32 << 20), "KB L1 exceeds"),
+            (with(|c| c.wb_entries = 0), "write-buffer entries"),
+            (with(|c| c.wb_entries = 320), "1..=256 (got 320)"),
+            (with(|c| c.l2_hit_latency = 0), "L2 hit latency"),
+        ];
+        for (c, needle) in cases {
+            let e = c.validate().expect_err(needle);
+            assert!(e.contains(needle), "{needle}: {e}");
+        }
+        // The bounds themselves are usable.
+        let mut c = base.with_l2_kb(MAX_CACHE_BYTES / 1024);
+        c.l1.size_bytes = MAX_CACHE_BYTES;
+        c.wb_entries = MAX_WB_ENTRIES;
+        c.l2_hit_latency = 1;
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]

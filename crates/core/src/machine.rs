@@ -90,9 +90,9 @@ enum Event {
     WbKick(usize),
 }
 
-/// The per-processor elision context: disjoint borrows of everything the
-/// elided fast path mutates, split out of [`Machine`] so the op stream
-/// can be walked while ops are applied.
+/// The per-processor elision context: disjoint borrows of everything a
+/// private op mutates, split out of [`Machine`] (by `elide_env`) so the
+/// op stream can be walked while ops are applied.
 struct ElideEnv<'a> {
     node: &'a mut Node,
     st: &'a mut NodeStats,
@@ -110,10 +110,13 @@ struct ElideEnv<'a> {
 }
 
 impl ElideEnv<'_> {
-    /// Applies one scalar op exactly as the general path would, for the
-    /// elision-safe classes. Returns `false` — with *nothing* mutated —
-    /// when the op must go to the general path instead: a sync op, a
-    /// read missing all node-private state, or a write that would stall.
+    /// The one definition of a private op (§4.1): a compute costs its
+    /// paced cycles, an L1 hit one pcycle, an L2 hit the L2 latency (and
+    /// fills the L1), a write-buffer forward two, and a write one cycle
+    /// into the coalescing buffer. The elided fast path and `run_proc`
+    /// both retire these ops here. Returns `false` — with *nothing*
+    /// mutated — for the rest: a sync op, a read missing all node-private
+    /// state, or a write into a full buffer.
     #[inline]
     fn apply(&mut self, op: Op, now: &mut Time) -> bool {
         match op {
@@ -474,23 +477,11 @@ impl<P: Protocol> Machine<P> {
         self.nodes[p].l1.fill(addr, false);
     }
 
-    /// Executes one read; returns the completion time.
-    fn do_read(&mut self, p: usize, addr: u64, now: Time) -> Time {
+    /// Executes a read that missed the L1, the L2 and the write buffer
+    /// (those hits retire in [`ElideEnv::apply`]); returns the completion
+    /// time.
+    fn read_miss(&mut self, p: usize, addr: u64, now: Time) -> Time {
         self.stats[p].reads += 1;
-        if self.nodes[p].l1.contains(addr) {
-            self.stats[p].l1_hits += 1;
-            return now + 1;
-        }
-        if self.nodes[p].l2.contains(addr) {
-            self.stats[p].l2_hits += 1;
-            self.nodes[p].l1.fill(addr, false);
-            return now + self.cfg.l2_hit_latency;
-        }
-        // Reads bypass (and forward from) the write buffer.
-        if self.nodes[p].wb.holds_block(self.map.block_of(addr)) {
-            self.stats[p].wb_forwards += 1;
-            return now + 2;
-        }
         let t0 = now + 5; // L1 + L2 tag checks
         let shared_remote = self.map.is_shared(addr) && self.map.home_of(addr) != p;
         let done = if shared_remote {
@@ -512,6 +503,37 @@ impl<P: Protocol> Machine<P> {
         done
     }
 
+    /// `p`'s elision context and op stream, split out of the machine as
+    /// disjoint borrows: the one place an [`ElideEnv`] is built.
+    fn elide_env(&mut self, p: usize) -> (ElideEnv<'_>, &mut OpStream) {
+        let Machine {
+            procs,
+            nodes,
+            stats,
+            queue,
+            kick_pending,
+            map,
+            cfg,
+            ..
+        } = self;
+        let proc = &mut procs[p];
+        let env = ElideEnv {
+            node: &mut nodes[p],
+            st: &mut stats[p],
+            queue,
+            kick_pending: &mut kick_pending[p],
+            map,
+            l2_lat: cfg.l2_hit_latency,
+            pace: proc.pace,
+            // No retirement can start while the env lives: a WbKick only
+            // fires from the event queue, which the env never pops.
+            retiring: proc.retiring,
+            p,
+            seg_bytes: cfg.l1.block_bytes.min(map.block_bytes),
+        };
+        (env, &mut proc.stream)
+    }
+
     /// Fast-forwards a run of elision-safe ops inline: compute, reads
     /// that hit node-private state (L1, L2, write-buffer forward), and
     /// write-buffer pushes that cannot stall. These ops touch no shared
@@ -525,15 +547,14 @@ impl<P: Protocol> Machine<P> {
     /// (the slice cap).
     ///
     /// Beyond the scalar per-op path ([`ElideEnv::apply`]), this walks the
-    /// stream's *macro* form: an affine `ReadRun`/`WriteRun`/`Nest` that
-    /// stays inside node-private state retires in O(lines touched) — one
-    /// cache or buffer probe per distinct private line — instead of
-    /// O(ops). The batched commits reproduce the scalar mutations to the
-    /// bit: counters and local time are additive, and a cache probe
-    /// mutates nothing, so one probe per line speaks for every op in it.
-    /// Any op the batch analysis cannot prove safe falls back to the
-    /// scalar path, which bails to the general path exactly where the
-    /// per-op engine did.
+    /// stream's *macro* form: an affine [`Nest`] that stays inside
+    /// node-private state retires in O(lines touched) — one cache or
+    /// buffer probe per distinct private line — instead of O(ops). The
+    /// batched commits reproduce the scalar mutations to the bit: counters
+    /// and local time are additive, and a cache probe mutates nothing, so
+    /// one probe per line speaks for every op in it. Any op the batch
+    /// analysis cannot prove safe falls back to the scalar path, which
+    /// bails to the general path exactly where the per-op engine did.
     fn elide_run(&mut self, p: usize, now: &mut Time, deadline: Time) {
         // The nest is copied out of the stream borrow on purpose: the
         // retirement loop below consumes the stream mutably, and one
@@ -548,50 +569,9 @@ impl<P: Protocol> Machine<P> {
                 k: usize,
                 bail: bool,
             },
-            CRun {
-                cost: u32,
-                rem: u64,
-            },
-            RRun {
-                a: Addr,
-                stride: u64,
-                rem: u64,
-            },
-            WRun {
-                a: Addr,
-                stride: u64,
-                rem: u64,
-            },
             Nested(Nest),
         }
-        let Machine {
-            procs,
-            nodes,
-            stats,
-            queue,
-            kick_pending,
-            map,
-            cfg,
-            ops_done,
-            elided,
-            ..
-        } = self;
-        let proc = &mut procs[p];
-        let mut env = ElideEnv {
-            node: &mut nodes[p],
-            st: &mut stats[p],
-            queue,
-            kick_pending: &mut kick_pending[p],
-            map,
-            l2_lat: cfg.l2_hit_latency,
-            pace: proc.pace,
-            // No retirement can start inside this loop: a WbKick only
-            // fires from the event queue, which we are not touching.
-            retiring: proc.retiring,
-            p,
-            seg_bytes: cfg.l1.block_bytes.min(map.block_bytes),
-        };
-        let stream = &mut proc.stream;
+        let (mut env, stream) = self.elide_env(p);
         let mut done = 0u64;
         'run: loop {
             // Scalar spill first: a partial nest iteration left over from
@@ -642,20 +622,6 @@ impl<P: Protocol> Machine<P> {
                         }
                         Head::Ones { k, bail }
                     }
-                    Some(&MacroOp::ComputeRun { cost, n }) => Head::CRun {
-                        cost,
-                        rem: n - iter,
-                    },
-                    Some(&MacroOp::ReadRun { base, stride, n }) => Head::RRun {
-                        a: base + iter * stride,
-                        stride,
-                        rem: n - iter,
-                    },
-                    Some(&MacroOp::WriteRun { base, stride, n }) => Head::WRun {
-                        a: base + iter * stride,
-                        stride,
-                        rem: n - iter,
-                    },
                     Some(MacroOp::Nest(nest)) => Head::Nested(**nest),
                 }
             };
@@ -665,120 +631,6 @@ impl<P: Protocol> Machine<P> {
                     stream.consume_ones(k);
                     done += k as u64;
                     if bail || *now > deadline {
-                        break 'run;
-                    }
-                }
-                Head::CRun { cost, rem } => {
-                    let scaled = (cost as Time * env.pace).div_ceil(100);
-                    // Ops retire while their pre-op time is <= deadline,
-                    // so (deadline - now)/scaled + 1 of them fit.
-                    let k = rem.min((deadline - *now) / scaled + 1);
-                    *now += k * scaled;
-                    env.st.busy += k * scaled;
-                    stream.consume_iters(k);
-                    done += k;
-                    if *now > deadline {
-                        break 'run;
-                    }
-                }
-                Head::RRun {
-                    mut a,
-                    stride,
-                    mut rem,
-                } => {
-                    let mut taken = 0u64;
-                    let mut missed = false;
-                    while rem > 0 && *now <= deadline {
-                        let seg = span_iters(a, stride, rem, env.seg_bytes);
-                        let k_l1 = seg.min(deadline - *now + 1);
-                        let k = if env.node.l1.contains(a) {
-                            env.st.reads += k_l1;
-                            env.st.l1_hits += k_l1;
-                            env.st.busy += k_l1;
-                            *now += k_l1;
-                            k_l1
-                        } else if env.node.l2.contains(a) {
-                            // One scalar op; its L1 fill promotes the rest
-                            // of the line for the next round.
-                            env.st.reads += 1;
-                            env.st.l2_hits += 1;
-                            env.node.l1.fill(a, false);
-                            env.st.busy += 1;
-                            env.st.read_stall += env.l2_lat - 1;
-                            *now += env.l2_lat;
-                            1
-                        } else if env.node.wb.holds_block(env.map.block_of(a)) {
-                            let k = seg.min((deadline - *now) / 2 + 1);
-                            env.st.reads += k;
-                            env.st.wb_forwards += k;
-                            env.st.busy += k;
-                            env.st.read_stall += k;
-                            *now += 2 * k;
-                            k
-                        } else {
-                            missed = true;
-                            break;
-                        };
-                        taken += k;
-                        rem -= k;
-                        a += k * stride;
-                    }
-                    stream.consume_iters(taken);
-                    done += taken;
-                    if missed || rem > 0 {
-                        break 'run;
-                    }
-                }
-                Head::WRun {
-                    mut a,
-                    stride,
-                    mut rem,
-                } => {
-                    let mut taken = 0u64;
-                    let mut full = false;
-                    while rem > 0 && *now <= deadline {
-                        // Batch at coherence-block granularity: one buffer
-                        // entry covers the span.
-                        let seg = span_iters(a, stride, rem, env.map.block_bytes);
-                        // The block's first write goes through the exact
-                        // scalar arm: the full-buffer bail and the kick
-                        // scheduling live there.
-                        if !env.apply(Op::Write(a), now) {
-                            full = true;
-                            break;
-                        }
-                        taken += 1;
-                        rem -= 1;
-                        a += stride;
-                        if *now > deadline {
-                            break;
-                        }
-                        // The rest of the segment coalesces onto the entry
-                        // that push created (or found).
-                        let k = (seg - 1).min(rem).min(deadline - *now + 1);
-                        if k > 0 {
-                            let mut mask = 0u32;
-                            if stride == 0 {
-                                mask = 1 << env.map.word_in_block(a);
-                            } else {
-                                for i in 0..k {
-                                    mask |= 1 << env.map.word_in_block(a + i * stride);
-                                }
-                            }
-                            let idx = env
-                                .node
-                                .wb
-                                .find_block(env.map.block_of(a))
-                                .expect("push left a live entry");
-                            env.commit_coalesced(idx, a, mask, k, now);
-                            taken += k;
-                            rem -= k;
-                            a += k * stride;
-                        }
-                    }
-                    stream.consume_iters(taken);
-                    done += taken;
-                    if full || rem > 0 {
                         break 'run;
                     }
                 }
@@ -1006,16 +858,12 @@ impl<P: Protocol> Machine<P> {
                             if let Some(op) = slots[si].op_at(it, wmask) {
                                 if !env.apply(op, now) {
                                     stream.spill_iter_tail(si);
-                                    *ops_done += done;
-                                    *elided += done;
-                                    return;
+                                    break 'run;
                                 }
                                 done += 1;
                                 if *now > deadline {
                                     stream.spill_iter_tail(si + 1);
-                                    *ops_done += done;
-                                    *elided += done;
-                                    return;
+                                    break 'run;
                                 }
                             }
                             si += 1;
@@ -1029,11 +877,15 @@ impl<P: Protocol> Machine<P> {
                 }
             }
         }
-        *ops_done += done;
-        *elided += done;
+        self.ops_done += done;
+        self.elided += done;
     }
 
     /// The processor execution loop: runs ops until blocking or done.
+    /// Every op goes to [`ElideEnv::apply`] first, parked or fresh, so
+    /// each class of private op has one definition. What `apply` declines
+    /// is a read that missed the L1, the L2 and the write buffer, a write
+    /// into a full buffer, or a sync op.
     fn run_proc(&mut self, p: usize) {
         let start = self.queue.now();
         let mut now = start;
@@ -1061,158 +913,25 @@ impl<P: Protocol> Machine<P> {
                     }
                 },
             };
-            match op {
-                Op::Compute(n) => {
-                    let scaled = (n as Time * self.procs[p].pace).div_ceil(100);
-                    now += scaled;
-                    self.stats[p].busy += scaled;
+            if !self.elide_env(p).0.apply(op, &mut now) {
+                // Private hits may run ahead of the global clock; anything
+                // that acquires shared resources (memory, channels, ring,
+                // sync broadcasts) must execute in global-time order or
+                // later requests would queue behind phantom future
+                // reservations. A full-buffer write only blocks.
+                if now > self.queue.now() && !matches!(op, Op::Write(_)) {
+                    self.procs[p].pending = Some(op);
+                    self.schedule_resume(p, now);
+                    return;
                 }
-                Op::Read(addr) => {
-                    // L1/L2/write-buffer hits touch only node-local state
-                    // and may run ahead of the global clock; anything that
-                    // acquires shared resources (memory, channels, ring)
-                    // must execute in global-time order or later requests
-                    // would queue behind phantom future reservations.
-                    if now > self.queue.now()
-                        && !self.nodes[p].l1.contains(addr)
-                        && !self.nodes[p].l2.contains(addr)
-                        && !self.nodes[p].wb.holds_block(self.map.block_of(addr))
-                    {
-                        self.procs[p].pending = Some(op);
-                        self.schedule_resume(p, now);
-                        return;
-                    }
-                    let done = self.do_read(p, addr, now);
-                    self.stats[p].busy += 1;
-                    self.stats[p].read_stall += done - now - 1;
-                    if done > now + self.cfg.l2_hit_latency {
-                        // A real stall: block and resume at completion.
-                        self.procs[p].state = ProcState::BlockedRead;
-                        self.procs[p].block_start = now;
-                        self.schedule_resume(p, done);
-                        return;
-                    }
-                    now = done;
+                // Release consistency: sync waits for the buffer to drain.
+                if op.is_sync() && !self.drained(p) {
+                    self.block_for_drain(p, op, now);
+                    return;
                 }
-                Op::Write(addr) => {
-                    let block = self.map.block_of(addr);
-                    let word = self.map.word_in_block(addr);
-                    let shared = self.map.is_shared(addr);
-                    match self.nodes[p].wb.push(block, addr, word, shared) {
-                        PushOutcome::Full => {
-                            self.procs[p].pending = Some(op);
-                            self.procs[p].state = ProcState::BlockedWbFull;
-                            self.procs[p].block_start = now;
-                            // Either a retirement is in flight or the kick
-                            // event for one is pending; it will wake us
-                            // when an entry leaves the buffer.
-                            debug_assert!(self.procs[p].retiring || self.kick_pending[p]);
-                            return;
-                        }
-                        _ => {
-                            now += 1;
-                            self.stats[p].busy += 1;
-                            self.stats[p].writes += 1;
-                            if !self.procs[p].retiring && !self.kick_pending[p] {
-                                self.kick_pending[p] = true;
-                                schedule_clamped(&mut self.queue, now, Event::WbKick(p));
-                            }
-                        }
-                    }
-                }
-                Op::Acquire(l) => {
-                    if now > self.queue.now() {
-                        self.procs[p].pending = Some(op);
-                        self.schedule_resume(p, now);
-                        return;
-                    }
-                    if !self.drained(p) {
-                        self.block_for_drain(p, op, now);
-                        return;
-                    }
-                    let li = self.ensure_lock(l);
-                    let lock = &self.locks[li];
-                    if lock.held_by == Some(p) {
-                        // Granted while we were blocked.
-                        now += 1;
-                    } else if lock.held_by.is_none() && lock.waiters.is_empty() {
-                        let seen = self.proto.sync_broadcast(p, now);
-                        self.locks[li].held_by = Some(p);
-                        self.stats[p].sync_stall += seen - now;
-                        now = seen;
-                    } else {
-                        let seen = self.proto.sync_broadcast(p, now);
-                        let lock = &mut self.locks[li];
-                        lock.waiters.push_back(p);
-                        self.procs[p].pending = Some(op);
-                        self.procs[p].state = ProcState::BlockedLock(l);
-                        // The waiter's own broadcast must complete before
-                        // it can take the lock: charge [now, seen) as sync
-                        // stall up front and block from `seen`, so a grant
-                        // arriving earlier (the holder released while our
-                        // message was still in flight) cannot resume us —
-                        // or be accounted — before the broadcast lands.
-                        self.stats[p].sync_stall += seen - now;
-                        self.procs[p].block_start = seen;
-                        return;
-                    }
-                }
-                Op::Release(l) => {
-                    if now > self.queue.now() {
-                        self.procs[p].pending = Some(op);
-                        self.schedule_resume(p, now);
-                        return;
-                    }
-                    if !self.drained(p) {
-                        self.block_for_drain(p, op, now);
-                        return;
-                    }
-                    let seen = self.proto.sync_broadcast(p, now);
-                    let li = self.ensure_lock(l);
-                    let lock = &mut self.locks[li];
-                    debug_assert_eq!(lock.held_by, Some(p), "release by non-holder");
-                    lock.held_by = None;
-                    if let Some(w) = lock.waiters.pop_front() {
-                        lock.held_by = Some(w);
-                        self.wake(w, seen + 1, Stall::Sync);
-                    }
-                    self.stats[p].sync_stall += seen - now;
-                    now = seen;
-                }
-                Op::Barrier(b) => {
-                    if now > self.queue.now() {
-                        self.procs[p].pending = Some(op);
-                        self.schedule_resume(p, now);
-                        return;
-                    }
-                    if !self.drained(p) {
-                        self.block_for_drain(p, op, now);
-                        return;
-                    }
-                    let seen = self.proto.sync_broadcast(p, now);
-                    let expected = self.procs.len();
-                    let bi = self.ensure_barrier(b);
-                    let bar = &mut self.barriers[bi];
-                    bar.arrived += 1;
-                    bar.latest = bar.latest.max(seen);
-                    if bar.arrived == expected {
-                        let release = bar.latest + 2;
-                        let waiters = std::mem::take(&mut bar.waiters);
-                        // Reset in place; the id starts fresh for its next
-                        // episode, exactly as removing a map entry did.
-                        bar.arrived = 0;
-                        bar.latest = 0;
-                        for w in waiters {
-                            self.wake(w, release, Stall::Sync);
-                        }
-                        self.stats[p].sync_stall += release - now;
-                        now = release;
-                    } else {
-                        bar.waiters.push(p);
-                        self.procs[p].state = ProcState::BlockedBarrier(b);
-                        self.procs[p].block_start = now;
-                        return;
-                    }
+                match self.run_declined(p, op, now) {
+                    Some(t) => now = t,
+                    None => return,
                 }
             }
             if now > deadline {
@@ -1220,6 +939,114 @@ impl<P: Protocol> Machine<P> {
                 return;
             }
         }
+    }
+
+    /// Runs an op [`ElideEnv::apply`] declined, once `p` has caught up
+    /// with the global clock and, for a sync op, drained its buffer.
+    /// Returns `p`'s local time after the op, or `None` if `p` blocked.
+    fn run_declined(&mut self, p: usize, op: Op, mut now: Time) -> Option<Time> {
+        match op {
+            Op::Read(addr) => {
+                let done = self.read_miss(p, addr, now);
+                self.stats[p].busy += 1;
+                self.stats[p].read_stall += done - now - 1;
+                if done > now + self.cfg.l2_hit_latency {
+                    // A real stall: block and resume at completion.
+                    self.procs[p].state = ProcState::BlockedRead;
+                    self.procs[p].block_start = now;
+                    self.schedule_resume(p, done);
+                    return None;
+                }
+                now = done;
+            }
+            Op::Write(addr) => {
+                // The push counts the full event once. Either a
+                // retirement is in flight or the kick event for
+                // one is pending; it will wake us when an entry
+                // leaves the buffer.
+                let out = self.nodes[p].wb.push(
+                    self.map.block_of(addr),
+                    addr,
+                    self.map.word_in_block(addr),
+                    self.map.is_shared(addr),
+                );
+                debug_assert_eq!(out, PushOutcome::Full);
+                debug_assert!(self.procs[p].retiring || self.kick_pending[p]);
+                self.procs[p].pending = Some(op);
+                self.procs[p].state = ProcState::BlockedWbFull;
+                self.procs[p].block_start = now;
+                return None;
+            }
+            Op::Acquire(l) => {
+                let li = self.ensure_lock(l);
+                let lock = &self.locks[li];
+                if lock.held_by == Some(p) {
+                    // Granted while we were blocked.
+                    now += 1;
+                } else if lock.held_by.is_none() && lock.waiters.is_empty() {
+                    let seen = self.proto.sync_broadcast(p, now);
+                    self.locks[li].held_by = Some(p);
+                    self.stats[p].sync_stall += seen - now;
+                    now = seen;
+                } else {
+                    let seen = self.proto.sync_broadcast(p, now);
+                    let lock = &mut self.locks[li];
+                    lock.waiters.push_back(p);
+                    self.procs[p].pending = Some(op);
+                    self.procs[p].state = ProcState::BlockedLock(l);
+                    // The waiter's own broadcast must complete before
+                    // it can take the lock: charge [now, seen) as sync
+                    // stall up front and block from `seen`, so a grant
+                    // arriving earlier (the holder released while our
+                    // message was still in flight) cannot resume us —
+                    // or be accounted — before the broadcast lands.
+                    self.stats[p].sync_stall += seen - now;
+                    self.procs[p].block_start = seen;
+                    return None;
+                }
+            }
+            Op::Release(l) => {
+                let seen = self.proto.sync_broadcast(p, now);
+                let li = self.ensure_lock(l);
+                let lock = &mut self.locks[li];
+                debug_assert_eq!(lock.held_by, Some(p), "release by non-holder");
+                lock.held_by = None;
+                if let Some(w) = lock.waiters.pop_front() {
+                    lock.held_by = Some(w);
+                    self.wake(w, seen + 1, Stall::Sync);
+                }
+                self.stats[p].sync_stall += seen - now;
+                now = seen;
+            }
+            Op::Barrier(b) => {
+                let seen = self.proto.sync_broadcast(p, now);
+                let expected = self.procs.len();
+                let bi = self.ensure_barrier(b);
+                let bar = &mut self.barriers[bi];
+                bar.arrived += 1;
+                bar.latest = bar.latest.max(seen);
+                if bar.arrived == expected {
+                    let release = bar.latest + 2;
+                    let waiters = std::mem::take(&mut bar.waiters);
+                    // Reset in place; the id starts fresh for its next
+                    // episode, exactly as removing a map entry did.
+                    bar.arrived = 0;
+                    bar.latest = 0;
+                    for w in waiters {
+                        self.wake(w, release, Stall::Sync);
+                    }
+                    self.stats[p].sync_stall += release - now;
+                    now = release;
+                } else {
+                    bar.waiters.push(p);
+                    self.procs[p].state = ProcState::BlockedBarrier(b);
+                    self.procs[p].block_start = now;
+                    return None;
+                }
+            }
+            Op::Compute(_) => unreachable!("apply retires every compute"),
+        }
+        Some(now)
     }
 
     fn block_for_drain(&mut self, p: usize, op: Op, now: Time) {

@@ -105,28 +105,6 @@ impl CoalescingWriteBuffer {
         PushOutcome::Allocated
     }
 
-    /// Batched coalesce: merges `count` writes covering the words in
-    /// `mask_bits` into the existing entry for `block`. Equivalent to
-    /// `count` scalar [`push`](Self::push) calls that all coalesce —
-    /// same mask growth, same `pushes`/`coalesced` accounting. The
-    /// engine's run-elision path uses this to retire a strided write run
-    /// with one buffer scan per block instead of one per element. The
-    /// caller must have established that the entry exists (e.g. via
-    /// [`holds_block`](Self::holds_block)); returns false (and does
-    /// nothing) if it does not.
-    #[inline]
-    pub fn coalesce_run(&mut self, block: BlockAddr, mask_bits: u32, count: u64) -> bool {
-        for e in self.entries.iter_mut() {
-            if e.block == block {
-                e.mask |= mask_bits;
-                self.pushes += count;
-                self.coalesced += count;
-                return true;
-            }
-        }
-        false
-    }
-
     /// Oldest entry, if any (peek; retirement is [`pop`](Self::pop)).
     pub fn front(&self) -> Option<&WriteEntry> {
         self.entries.front()
@@ -152,8 +130,13 @@ impl CoalescingWriteBuffer {
         self.entries.iter().position(|e| e.block == block)
     }
 
-    /// [`coalesce_run`](Self::coalesce_run) against the entry at `idx`
-    /// (from [`find_block`](Self::find_block)): no scan, same accounting.
+    /// Batched coalesce: merges `count` writes covering the words in
+    /// `mask_bits` into the entry at `idx` (from
+    /// [`find_block`](Self::find_block)), with no scan. Equivalent to
+    /// `count` scalar [`push`](Self::push) calls that all coalesce —
+    /// same mask growth, same `pushes`/`coalesced` accounting. The
+    /// engine's nest path uses this to retire a strided write slot with
+    /// one buffer probe per block instead of one per element.
     ///
     /// # Panics
     /// In debug builds, if `idx` does not hold `block`.
@@ -255,26 +238,31 @@ mod tests {
     }
 
     #[test]
-    fn coalesce_run_matches_scalar_pushes() {
+    fn coalesce_at_matches_scalar_pushes() {
         let mut bulk = CoalescingWriteBuffer::new(4);
         let mut scalar = CoalescingWriteBuffer::new(4);
         for wb in [&mut bulk, &mut scalar] {
+            wb.push(5, 320, 0, true);
             wb.push(3, 192, 0, true);
         }
         // Words 1..=4 of block 3, one write each.
-        assert!(bulk.coalesce_run(3, 0b11110, 4));
+        let idx = bulk.find_block(3).expect("block 3 is buffered");
+        assert_eq!(idx, 1);
+        bulk.coalesce_at(idx, 3, 0b11110, 4);
         for w in 1..=4u32 {
             assert_eq!(
                 scalar.push(3, 192 + w as u64 * 4, w, true),
                 PushOutcome::Coalesced
             );
         }
+        assert_eq!(bulk.pop(), scalar.pop());
         assert_eq!(bulk.front(), scalar.front());
+        assert_eq!(bulk.front().unwrap().mask, 0b11111);
         assert_eq!(bulk.pushes(), scalar.pushes());
         assert_eq!(bulk.coalesced(), scalar.coalesced());
-        // Absent block: no-op.
-        assert!(!bulk.coalesce_run(9, 0b1, 1));
-        assert_eq!(bulk.pushes(), 5);
+        assert_eq!((bulk.pushes(), bulk.coalesced()), (6, 4));
+        // Absent block: nothing to coalesce into.
+        assert_eq!(bulk.find_block(9), None);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! ```
 
 use netcache::apps::gen::chunked;
-use netcache::apps::OpStream;
+use netcache::apps::{Nest, OpStream};
 use netcache::mem::addr::SHARED_BASE;
 use netcache::{run_streams, Arch, EngineScratch, SysConfig};
 
@@ -29,7 +29,9 @@ fn producer() -> OpStream {
     chunked(|round, c| {
         for b in 0..BUFFERS {
             // Fill one block: 16 word writes + some compute.
-            c.write_run(SHARED_BASE + b * 64, 0, 16, 4);
+            let mut fill = Nest::new(16);
+            fill.write(SHARED_BASE + b * 64, 4);
+            c.nest(fill);
             c.compute(40);
         }
         c.barrier(round as u32);
