@@ -38,18 +38,16 @@ pub mod machine;
 pub mod metrics;
 pub mod proto;
 pub mod ring;
-pub mod runner;
 pub mod sharers;
 pub mod store;
 pub mod sweep;
 pub mod topology;
 
 pub use config::{Arch, ChannelAssoc, Replacement, RingConfig, SysConfig, TopoConfig, TopoKind};
-pub use machine::{run_streams, run_workload, EngineScratch};
+pub use machine::{run_app, run_streams, run_workload, EngineScratch};
 pub use metrics::{NodeStats, RunReport};
 pub use proto::{Node, ProtoCounters, Protocol, ReadKind};
 pub use ring::{RingCache, RingLookup, RingStats};
-pub use runner::{compare, run_app};
 pub use store::{cell_key, point_key, Store, StoreStats};
-pub use sweep::{Sweep, SweepPoint, SweepResult, SweepRun, SweepSpec};
+pub use sweep::{Sweep, SweepPoint, SweepResult, SweepRun};
 pub use topology::Fabric;

@@ -1145,6 +1145,12 @@ pub fn run_workload(
     run_streams(cfg, workload.streams(&map), scratch)
 }
 
+/// [`run_workload`] on a fresh [`EngineScratch`]: one workload on one
+/// machine configuration.
+pub fn run_app(cfg: &SysConfig, workload: &Workload) -> RunReport {
+    run_workload(cfg, workload, &mut EngineScratch::new())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1155,6 +1161,13 @@ mod tests {
         let cfg = SysConfig::base(arch).with_nodes(procs.max(1));
         let wl = Workload::new(app, procs).scale(scale);
         run_workload(&cfg, &wl, &mut EngineScratch::new())
+    }
+
+    #[test]
+    fn run_app_smoke() {
+        let cfg = SysConfig::base(Arch::NetCache).with_nodes(2);
+        let r = run_app(&cfg, &Workload::new(AppId::Water, 2).scale(0.25));
+        assert!(r.cycles > 0);
     }
 
     #[test]

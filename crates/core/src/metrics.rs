@@ -44,11 +44,6 @@ pub struct NodeStats {
 }
 
 impl NodeStats {
-    /// Total L2 read misses that left the node.
-    pub fn network_reads(&self) -> u64 {
-        self.remote_mem_reads + self.shared_hits + self.shared_coalesced + self.forwarded_reads
-    }
-
     /// Mean latency of shared L2 read misses.
     pub fn avg_shared_read_latency(&self) -> f64 {
         if self.shared_reads == 0 {
@@ -385,18 +380,6 @@ mod tests {
         };
         let r = report_with(vec![a, b], 10);
         assert!((r.avg_shared_read_latency() - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn network_reads_sums_kinds() {
-        let n = NodeStats {
-            remote_mem_reads: 5,
-            shared_hits: 3,
-            shared_coalesced: 1,
-            forwarded_reads: 2,
-            ..Default::default()
-        };
-        assert_eq!(n.network_reads(), 11);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! engine.
 //!
 //! Every engine pass so far made the grid cheaper to *simulate*; this
-//! module makes it cheap to *not* simulate. A `sweep`/`compare`/
-//! `figures` invocation recomputes cells whose inputs have not changed
+//! module makes it cheap to *not* simulate. A `sweep` or `figures`
+//! invocation recomputes cells whose inputs have not changed
 //! since the last run — the dominant cost of the day-to-day workflow
 //! once the engine itself is event-bound. The store memoizes each cell
 //! on disk, keyed by a digest of everything that could alter its
@@ -252,12 +252,7 @@ impl Store {
 
     /// [`Store::save`] for a sweep cell.
     pub fn save_point(&self, point: &SweepPoint, report: &RunReport) {
-        self.save(
-            point_key(point),
-            &point.label,
-            &point_workload(point),
-            report,
-        );
+        self.save(point_key(point), &point.label, &point.workload(), report);
     }
 }
 
@@ -304,15 +299,9 @@ pub fn cell_key(cfg: &SysConfig, wl: &Workload) -> u64 {
     h.finish()
 }
 
-/// The workload a sweep cell runs (must mirror [`SweepPoint::run_with`]
-/// exactly, or keys would address the wrong content).
-fn point_workload(point: &SweepPoint) -> Workload {
-    Workload::new(point.app, point.cfg.nodes).scale(point.scale)
-}
-
 /// [`cell_key`] for a sweep cell.
 pub fn point_key(point: &SweepPoint) -> u64 {
-    cell_key(&point.cfg, &point_workload(point))
+    cell_key(&point.cfg, &point.workload())
 }
 
 /// FNV-1a accumulator (the same constants as [`RunReport::digest`]).

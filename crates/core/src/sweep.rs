@@ -9,12 +9,12 @@
 //!
 //! This module is the one substrate all experiment drivers go through:
 //!
-//! * [`SweepSpec`] — a typed builder for the grid axes (arch, app, node
-//!   count, input scale, ring size, topology);
-//! * [`Sweep`] — the resolved point list; [`Sweep::run`] fans the points
-//!   out over a scoped worker pool, and `run(1)` runs them inline on the
-//!   caller's thread, the pool-free reference the property tests
-//!   compare against;
+//! * [`SweepPoint`] — one cell: a machine, an application and an input
+//!   scale, with its label;
+//! * [`Sweep`] — a point list, built by the caller in the order it wants
+//!   its reports; [`Sweep::run`] fans the points out over a scoped worker
+//!   pool, and `run(1)` runs them inline on the caller's thread, the
+//!   pool-free reference the property tests compare against;
 //! * [`SweepResult`] — reports in **grid order** (never completion
 //!   order) with per-run wall times, plus JSON/CSV emission;
 //! * [`par_map_with`] — the underlying generic ordered parallel map.
@@ -124,149 +124,14 @@ impl SweepPoint {
     ///
     /// [`run`]: SweepPoint::run
     pub fn run_with(&self, scratch: &mut EngineScratch) -> RunReport {
-        let wl = Workload::new(self.app, self.cfg.nodes).scale(self.scale);
-        run_workload(&self.cfg, &wl, scratch)
-    }
-}
-
-/// Declarative builder for a sweep grid.
-///
-/// Axes default to a single value (the paper's base machine: NetCache,
-/// 16 nodes, scale 0.1) so a spec only names what it varies. Points are
-/// generated in a fixed nested order — arch outermost, then app, nodes,
-/// scale, ring override, topology innermost — and [`SweepResult`]
-/// preserves it.
-///
-/// ```
-/// use netcache_core::sweep::SweepSpec;
-/// use netcache_core::Arch;
-/// use netcache_apps::AppId;
-///
-/// let sweep = SweepSpec::new()
-///     .archs(Arch::ALL)
-///     .apps([AppId::Sor, AppId::Fft])
-///     .nodes([4])
-///     .scale(0.02)
-///     .build();
-/// assert_eq!(sweep.points().len(), 8);
-/// let result = sweep.run(2);
-/// assert_eq!(result.runs.len(), 8);
-/// ```
-#[derive(Clone)]
-pub struct SweepSpec {
-    archs: Vec<Arch>,
-    apps: Vec<AppId>,
-    nodes: Vec<usize>,
-    scales: Vec<f64>,
-    /// Ring-size override axis in KB (`None` = keep the arch's base ring).
-    ring_kb: Vec<Option<u64>>,
-    /// Topology axis: `(kind, rings)` pairs (`rings` is meaningful for
-    /// multi-ring only and must be 1 otherwise).
-    topos: Vec<(TopoKind, usize)>,
-}
-
-impl Default for SweepSpec {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SweepSpec {
-    /// A spec for the base machine: one NetCache × one app slot must be
-    /// filled in by the caller via the axis methods.
-    pub fn new() -> Self {
-        Self {
-            archs: vec![Arch::NetCache],
-            apps: Vec::new(),
-            nodes: vec![16],
-            scales: vec![0.1],
-            ring_kb: vec![None],
-            topos: vec![(TopoKind::Single, 1)],
-        }
+        run_workload(&self.cfg, &self.workload(), scratch)
     }
 
-    /// Topology axis: `(kind, rings)` pairs. Innermost in the nest, so
-    /// a spec that does not vary it (the default single ring) generates
-    /// exactly the pre-topology point order and labels.
-    pub fn topologies(mut self, topos: impl IntoIterator<Item = (TopoKind, usize)>) -> Self {
-        self.topos = topos.into_iter().collect();
-        self
-    }
-
-    /// Architecture axis.
-    pub fn archs(mut self, archs: impl IntoIterator<Item = Arch>) -> Self {
-        self.archs = archs.into_iter().collect();
-        self
-    }
-
-    /// Application axis.
-    pub fn apps(mut self, apps: impl IntoIterator<Item = AppId>) -> Self {
-        self.apps = apps.into_iter().collect();
-        self
-    }
-
-    /// Node-count axis.
-    pub fn nodes(mut self, nodes: impl IntoIterator<Item = usize>) -> Self {
-        self.nodes = nodes.into_iter().collect();
-        self
-    }
-
-    /// Input-scale axis.
-    pub fn scales(mut self, scales: impl IntoIterator<Item = f64>) -> Self {
-        self.scales = scales.into_iter().collect();
-        self
-    }
-
-    /// Single input scale (the common case).
-    pub fn scale(self, s: f64) -> Self {
-        self.scales([s])
-    }
-
-    /// Ring shared-cache size axis in KB (Figs. 8–10; 0 disables the
-    /// ring). Varies NetCache only — the other architectures have no
-    /// ring, so they keep one base cell rather than duplicating.
-    pub fn ring_kb(mut self, kbs: impl IntoIterator<Item = u64>) -> Self {
-        self.ring_kb = kbs.into_iter().map(Some).collect();
-        self
-    }
-
-    /// Resolves the grid into its point list (fixed nested order).
-    ///
-    /// # Panics
-    /// If the app axis is empty or a generated configuration fails
-    /// [`SysConfig::validate`].
-    pub fn build(self) -> Sweep {
-        assert!(!self.apps.is_empty(), "sweep needs at least one app");
-        let mut points = Vec::new();
-        let base_ring = [None];
-        for &arch in &self.archs {
-            // The ring axis only varies NetCache — it is the only
-            // architecture with the ring cache, so crossing the axis
-            // with the others would just duplicate identical cells.
-            let ring_axis: &[Option<u64>] = if arch == Arch::NetCache {
-                &self.ring_kb
-            } else {
-                &base_ring
-            };
-            for &app in &self.apps {
-                for &nodes in &self.nodes {
-                    for &scale in &self.scales {
-                        for &ring in ring_axis {
-                            for &(kind, rings) in &self.topos {
-                                let mut cfg = SysConfig::base(arch).with_nodes(nodes);
-                                if let Some(kb) = ring {
-                                    cfg = cfg.with_ring_kb(kb);
-                                }
-                                cfg = cfg.with_topology(kind).with_rings(rings);
-                                cfg.validate().expect("sweep produced invalid config");
-                                points.push(SweepPoint::new(cfg, app, scale));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Sweep { points }
+    /// The workload this cell runs: its app at its scale, sized to the
+    /// machine's node count. The store keys the cell by this same
+    /// workload ([`crate::store::point_key`]), so key and run agree.
+    pub fn workload(&self) -> Workload {
+        Workload::new(self.app, self.cfg.nodes).scale(self.scale)
     }
 }
 
@@ -277,8 +142,7 @@ pub struct Sweep {
 }
 
 impl Sweep {
-    /// Wraps an explicit point list (for callers whose grid is not a
-    /// cartesian product, e.g. `runner::compare` over arbitrary configs).
+    /// Wraps a point list; reports come back in this order.
     pub fn from_points(points: Vec<SweepPoint>) -> Self {
         Self { points }
     }
@@ -588,7 +452,8 @@ impl SweepObserver for ProgressCounters {
     }
 }
 
-/// Prints one line per completed cell to stderr (the CLI's `--progress`).
+/// Prints one line per completed cell to stderr (the CLI's progress,
+/// unless `--quiet` is given).
 pub struct StderrProgress;
 impl SweepObserver for StderrProgress {
     fn on_finish(&self, idx: usize, total: usize, label: &str, wall: Duration, report: &RunReport) {
@@ -711,6 +576,21 @@ where
 mod tests {
     use super::*;
 
+    /// The cells of `archs` x `apps` x `nodes` on base machines at one
+    /// scale, nested arch -> app -> nodes.
+    fn grid(archs: &[Arch], apps: &[AppId], nodes: &[usize], scale: f64) -> Sweep {
+        let mut points = Vec::new();
+        for &arch in archs {
+            for &app in apps {
+                for &n in nodes {
+                    let cfg = SysConfig::base(arch).with_nodes(n);
+                    points.push(SweepPoint::new(cfg, app, scale));
+                }
+            }
+        }
+        Sweep::from_points(points)
+    }
+
     #[test]
     fn par_map_returns_input_order() {
         // Make later items finish first: earlier items spin longest.
@@ -817,89 +697,48 @@ mod tests {
     }
 
     #[test]
-    fn spec_grid_order_is_nested() {
-        let sweep = SweepSpec::new()
-            .archs([Arch::NetCache, Arch::LambdaNet])
-            .apps([AppId::Sor, AppId::Fft])
-            .nodes([2, 4])
-            .scale(0.01)
-            .build();
-        let labels: Vec<&str> = sweep.points().iter().map(|p| p.label.as_str()).collect();
-        assert_eq!(
-            labels,
-            [
-                "netcache/sor/p2/s0.01",
-                "netcache/sor/p4/s0.01",
-                "netcache/fft/p2/s0.01",
-                "netcache/fft/p4/s0.01",
-                "lambdanet/sor/p2/s0.01",
-                "lambdanet/sor/p4/s0.01",
-                "lambdanet/fft/p2/s0.01",
-                "lambdanet/fft/p4/s0.01",
-            ]
-        );
-    }
-
-    #[test]
-    fn ring_override_axis_applies() {
-        let sweep = SweepSpec::new()
-            .apps([AppId::Water])
-            .nodes([4])
-            .scale(0.01)
-            .ring_kb([0, 16, 32])
-            .build();
-        let chans: Vec<usize> = sweep.points().iter().map(|p| p.cfg.ring.channels).collect();
-        assert_eq!(chans, [0, 64, 128]);
-    }
-
-    #[test]
-    fn ring_axis_does_not_duplicate_ringless_archs() {
-        let sweep = SweepSpec::new()
-            .archs(Arch::ALL)
-            .apps([AppId::Water])
-            .nodes([4])
-            .scale(0.01)
-            .ring_kb([0, 16, 32])
-            .build();
-        // 3 NetCache cells + 1 each for the three ringless baselines.
-        assert_eq!(sweep.points().len(), 3 + 3);
-        let labels: std::collections::HashSet<&str> =
-            sweep.points().iter().map(|p| p.label.as_str()).collect();
-        assert_eq!(labels.len(), sweep.points().len(), "duplicate cells");
-    }
-
-    #[test]
     fn every_axis_crossed_yields_unique_labels() {
-        // Every axis a spec can vary, crossed with every other: each
-        // generated cell must carry its own label, or CSV/JSON rows
-        // cannot be told apart.
-        let sweep = SweepSpec::new()
-            .archs(Arch::ALL)
-            .apps([AppId::Sor, AppId::Fft])
-            .nodes([4, 8])
-            .scales([0.01, 0.02])
-            .ring_kb([0, 16, 32, 64])
-            .topologies([
-                (TopoKind::Single, 1),
-                (TopoKind::MultiRing, 2),
-                (TopoKind::StarOfRings, 1),
-            ])
-            .build();
-        // NetCache crosses the ring axis; the baselines keep one ring.
-        assert_eq!(sweep.points().len(), (4 + 3) * 2 * 2 * 2 * 3);
+        // Every axis a label names, crossed with every other: each cell
+        // must carry its own label, or CSV/JSON rows cannot be told
+        // apart.
+        let mut points = Vec::new();
+        for arch in Arch::ALL {
+            // NetCache crosses the ring axis; the baselines have no ring.
+            let rings: &[Option<u64>] = match arch {
+                Arch::NetCache => &[Some(0), Some(16), Some(32), Some(64)],
+                _ => &[None],
+            };
+            for app in [AppId::Sor, AppId::Fft] {
+                for nodes in [4, 8] {
+                    for scale in [0.01, 0.02] {
+                        for &ring in rings {
+                            for (kind, c) in [
+                                (TopoKind::Single, 1),
+                                (TopoKind::MultiRing, 2),
+                                (TopoKind::StarOfRings, 1),
+                            ] {
+                                let mut cfg = SysConfig::base(arch).with_nodes(nodes);
+                                if let Some(kb) = ring {
+                                    cfg = cfg.with_ring_kb(kb);
+                                }
+                                let cfg = cfg.with_topology(kind).with_rings(c);
+                                cfg.validate().expect("a valid machine");
+                                points.push(SweepPoint::new(cfg, app, scale));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(points.len(), (4 + 3) * 2 * 2 * 2 * 3);
         let labels: std::collections::HashSet<&str> =
-            sweep.points().iter().map(|p| p.label.as_str()).collect();
-        assert_eq!(labels.len(), sweep.points().len(), "duplicate labels");
+            points.iter().map(|p| p.label.as_str()).collect();
+        assert_eq!(labels.len(), points.len(), "duplicate labels");
     }
 
     #[test]
     fn parallel_equals_serial_small_grid() {
-        let sweep = SweepSpec::new()
-            .archs([Arch::NetCache, Arch::DmonI])
-            .apps([AppId::Fft])
-            .nodes([2])
-            .scale(0.01)
-            .build();
+        let sweep = grid(&[Arch::NetCache, Arch::DmonI], &[AppId::Fft], &[2], 0.01);
         let par = sweep.run(4);
         let ser = sweep.run(1);
         assert_eq!(par.runs.len(), ser.runs.len());
@@ -911,11 +750,7 @@ mod tests {
 
     #[test]
     fn progress_counters_count_everything() {
-        let sweep = SweepSpec::new()
-            .apps([AppId::Fft])
-            .nodes([1, 2])
-            .scale(0.01)
-            .build();
+        let sweep = grid(&[Arch::NetCache], &[AppId::Fft], &[1, 2], 0.01);
         let prog = ProgressCounters::default();
         let res = sweep.run_observed(2, &prog);
         assert_eq!(prog.started(), 2);
@@ -925,12 +760,7 @@ mod tests {
 
     #[test]
     fn emission_shapes() {
-        let sweep = SweepSpec::new()
-            .apps([AppId::Fft])
-            .nodes([2])
-            .scale(0.01)
-            .build();
-        let res = sweep.run(1);
+        let res = grid(&[Arch::NetCache], &[AppId::Fft], &[2], 0.01).run(1);
         let csv = res.to_csv();
         assert_eq!(csv.lines().count(), 2);
         assert!(csv.starts_with("label,arch,app,"));
@@ -955,17 +785,16 @@ mod tests {
 
     #[test]
     fn topology_axis_is_innermost_and_suffixes_labels() {
-        let sweep = SweepSpec::new()
-            .apps([AppId::Sor])
-            .nodes([4])
-            .scale(0.01)
-            .topologies([
-                (TopoKind::Single, 1),
-                (TopoKind::MultiRing, 2),
-                (TopoKind::StarOfRings, 1),
-            ])
-            .build();
-        let labels: Vec<&str> = sweep.points().iter().map(|p| p.label.as_str()).collect();
+        let cfg = SysConfig::base(Arch::NetCache).with_nodes(4);
+        let points: Vec<SweepPoint> = [
+            cfg,
+            cfg.with_topology(TopoKind::MultiRing).with_rings(2),
+            cfg.with_topology(TopoKind::StarOfRings),
+        ]
+        .into_iter()
+        .map(|c| SweepPoint::new(c, AppId::Sor, 0.01))
+        .collect();
+        let labels: Vec<&str> = points.iter().map(|p| p.label.as_str()).collect();
         assert_eq!(
             labels,
             [
@@ -1002,23 +831,6 @@ mod tests {
     }
 
     #[test]
-    fn default_topology_axis_leaves_grids_untouched() {
-        // A spec that does not vary the topology generates exactly the
-        // pre-topology point list: same count, same labels, default kind.
-        let sweep = SweepSpec::new()
-            .archs([Arch::NetCache, Arch::DmonI])
-            .apps([AppId::Fft])
-            .nodes([2, 4])
-            .scale(0.01)
-            .build();
-        assert_eq!(sweep.points().len(), 4);
-        for p in sweep.points() {
-            assert_eq!(p.cfg.topo.kind, TopoKind::Single);
-            assert!(!p.label.contains("/mr") && !p.label.ends_with("/sor"));
-        }
-    }
-
-    #[test]
     fn par_map_with_builds_one_state_per_worker_and_keeps_order() {
         use std::sync::atomic::AtomicUsize;
         let inits = AtomicUsize::new(0);
@@ -1048,12 +860,7 @@ mod tests {
 
     #[test]
     fn json_emission_round_trips_through_a_strict_parser() {
-        let sweep = SweepSpec::new()
-            .apps([AppId::Fft])
-            .nodes([2])
-            .scale(0.01)
-            .build();
-        let mut res = sweep.run(1);
+        let mut res = grid(&[Arch::NetCache], &[AppId::Fft], &[2], 0.01).run(1);
         // Adversarial label: quote, backslash, newline, and a raw control
         // character. Pre-escaping, any of these makes the document
         // unparseable (or silently truncates the string).
@@ -1177,12 +984,12 @@ mod tests {
 
     #[test]
     fn scratch_reuse_is_bit_identical() {
-        let sweep = SweepSpec::new()
-            .archs([Arch::NetCache, Arch::DmonU])
-            .apps([AppId::Sor, AppId::Fft])
-            .nodes([4])
-            .scale(0.02)
-            .build();
+        let sweep = grid(
+            &[Arch::NetCache, Arch::DmonU],
+            &[AppId::Sor, AppId::Fft],
+            &[4],
+            0.02,
+        );
         let mut scratch = EngineScratch::new();
         for p in sweep.points() {
             // Fresh machine vs. scratch-recycled machine: same report

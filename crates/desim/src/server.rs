@@ -54,12 +54,6 @@ impl FifoServer {
         self.next_free.saturating_sub(now)
     }
 
-    /// The time at which the server next becomes free.
-    #[inline]
-    pub fn next_free(&self) -> Time {
-        self.next_free
-    }
-
     /// Total busy time accumulated (for utilization reports).
     #[inline]
     pub fn busy_total(&self) -> Duration {
@@ -141,12 +135,6 @@ impl SlottedServer {
             served: 0,
             wait_total: 0,
         }
-    }
-
-    /// Width of one slot in cycles.
-    #[inline]
-    pub fn slot(&self) -> Duration {
-        self.slot
     }
 
     /// Length of a full TDMA frame (all clients' slots) in cycles.

@@ -74,22 +74,10 @@ impl AddressMap {
         a >> self.block_bytes.trailing_zeros()
     }
 
-    /// First byte address of block `b`.
-    #[inline]
-    pub fn block_base(&self, b: BlockAddr) -> Addr {
-        b * self.block_bytes
-    }
-
     /// The word index of `a` within its block.
     #[inline]
     pub fn word_in_block(&self, a: Addr) -> WordIdx {
         ((a & (self.block_bytes - 1)) / WORD_BYTES) as WordIdx
-    }
-
-    /// Number of words per block.
-    #[inline]
-    pub fn words_per_block(&self) -> u32 {
-        (self.block_bytes / WORD_BYTES) as u32
     }
 
     /// Home node of `a`: owner of the up-to-date memory copy.
@@ -106,13 +94,6 @@ impl AddressMap {
             let region = (a / PRIVATE_REGION) as usize;
             region.saturating_sub(1).min(self.nodes - 1)
         }
-    }
-
-    /// True if a shared access from `node` is served purely locally
-    /// (private data, or a shared block whose home is `node`).
-    #[inline]
-    pub fn is_local_to(&self, a: Addr, node: NodeId) -> bool {
-        self.home_of(a) == node
     }
 }
 
@@ -169,27 +150,9 @@ mod tests {
     #[test]
     fn word_indexing() {
         let m = map16();
-        assert_eq!(m.words_per_block(), 16);
         assert_eq!(m.word_in_block(SHARED_BASE), 0);
         assert_eq!(m.word_in_block(SHARED_BASE + 4), 1);
         assert_eq!(m.word_in_block(SHARED_BASE + 63), 15);
-    }
-
-    #[test]
-    fn block_round_trip() {
-        let m = map16();
-        let a = SHARED_BASE + 1234;
-        let b = m.block_of(a);
-        assert!(m.block_base(b) <= a && a < m.block_base(b) + 64);
-    }
-
-    #[test]
-    fn is_local_matches_home() {
-        let m = map16();
-        let a = SHARED_BASE + 5 * 64;
-        let home = m.home_of(a);
-        assert!(m.is_local_to(a, home));
-        assert!(!m.is_local_to(a, (home + 1) % 16));
     }
 
     #[test]

@@ -134,11 +134,6 @@ impl MemoryModule {
         start + self.cfg.writeback_occupancy
     }
 
-    /// Time at which the module's queues are fully drained.
-    pub fn drained_at(&self) -> Time {
-        self.server.next_free().max(self.update_queue.next_free())
-    }
-
     /// Queued work remaining at `now`, in cycles (array + update queue).
     pub fn backlog(&self, now: Time) -> Duration {
         self.server.backlog(now).max(self.update_queue.backlog(now))
@@ -242,9 +237,9 @@ mod tests {
     fn update_occupancy_scales_with_words() {
         let mut m = MemoryModule::new(MemoryCfg::base());
         m.apply_update(0, 16);
-        assert_eq!(m.drained_at(), 16);
+        assert_eq!(m.backlog(0), 16);
         m.apply_update(0, 1);
-        assert_eq!(m.drained_at(), 17);
+        assert_eq!(m.backlog(0), 17);
         assert_eq!(m.updates(), 2);
     }
 

@@ -6,7 +6,7 @@
 //! ```
 
 use netcache::apps::AppId;
-use netcache::{compare, Arch, SysConfig};
+use netcache::{Arch, Sweep, SweepPoint, SysConfig};
 
 fn main() {
     let app_name = std::env::args().nth(1).unwrap_or_else(|| "mg".into());
@@ -23,13 +23,17 @@ fn main() {
         "{:<12} {:>12} {:>10} {:>12} {:>10} {:>10}",
         "system", "cycles", "vs best", "avg rd lat", "rd %", "sync %"
     );
-    // The four systems are independent simulations; `compare` fans them
-    // out across host cores through the sweep engine and returns the
-    // reports in `Arch::ALL` order.
-    let cfgs: Vec<SysConfig> = Arch::ALL.iter().map(|&a| SysConfig::base(a)).collect();
-    let reports = compare(cfgs.iter(), app, scale);
-    let base = reports[0].cycles;
-    for r in &reports {
+    // The four systems are independent simulations: the sweep engine fans
+    // them out across host cores and returns the reports in `Arch::ALL`
+    // order.
+    let points = Arch::ALL
+        .iter()
+        .map(|&a| SweepPoint::new(SysConfig::base(a), app, scale))
+        .collect();
+    let jobs = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let result = Sweep::from_points(points).run(jobs);
+    let base = result.runs[0].report.cycles;
+    for r in result.runs.iter().map(|r| &r.report) {
         println!(
             "{:<12} {:>12} {:>9.2}x {:>12.0} {:>9.1}% {:>9.1}%",
             r.arch,

@@ -3,13 +3,10 @@
 //! ```text
 //! netcache run <app> [--arch A] [--scale S] [--procs P] [--ring-kb K]
 //!                    [--topology T] [--rings C]
-//! netcache compare <app> [--scale S] [--procs P] [--ring-kb K]
-//!                        [--topology T] [--rings C] [--jobs N] [--serial]
-//!                        [--store DIR|--no-store]
 //! netcache sweep [apps...] [--archs A,B|all] [--jobs N] [--scale S]
 //!                [--procs P] [--ring-kbs K,K,...] [--topology T] [--rings C]
 //!                [--json F] [--csv F]
-//!                [--serial] [--quiet] [--store DIR|--no-store]  # grid sweep engine
+//!                [--quiet] [--store DIR|--no-store]    # grid sweep engine
 //! netcache trace <app> <dir> [--scale S] [--procs P]   # dump op streams
 //! netcache replay <dir> [--arch A] [--procs P]         # run dumped traces
 //! netcache profile <app> [--scale S] [--procs P]       # stream statistics
@@ -29,13 +26,12 @@
 //!
 //! `sweep` runs the full (architecture × application) grid by default —
 //! the paper's Fig. 6 — fanning independent simulations across `--jobs`
-//! worker threads (default: every host core). Reports always come back
-//! in grid order and are bit-identical to a `--serial` run; see
-//! DESIGN.md on why determinism survives parallel execution.
-//!
-//! `compare` runs the four architectures on the machine `sweep` would
-//! build: `--ring-kb` sizes NetCache's ring, and the fabric flags apply to
-//! all four.
+//! worker threads (default: every host core; `--jobs 1` runs every cell
+//! on the main thread). Its cells nest architecture → application →
+//! ring size, the ring sizes crossing NetCache only; a grid that names a
+//! cell twice exits 2 naming it. Reports always come back in grid order
+//! and are bit-identical whatever `--jobs` is; see DESIGN.md on why
+//! determinism survives parallel execution.
 //!
 //! `figures` regenerates the paper's tables and figures (all of them, or
 //! the ones named, e.g. `fig6 fig15`), running every distinct cell once
@@ -43,7 +39,7 @@
 //! exits 1 naming any ✅ claim that fails. Each figure fixes its own
 //! machines and workloads, so no flag shapes either.
 //!
-//! `--store DIR` points `sweep`/`compare`/`figures` at a content-addressed on-disk
+//! `--store DIR` points `sweep`/`figures` at a content-addressed on-disk
 //! result store: cells already present (same config, workload, and
 //! engine version) are served from disk instead of re-simulated, and
 //! freshly computed cells are written back — so an interrupted sweep
@@ -61,13 +57,13 @@
 //! and `--csv`, `figures`' `--json`) exits 2 naming the path if it cannot
 //! be written.
 //!
-//! `--scale` must lie in (0, 1]. `run`, `compare` and `sweep` validate
-//! every machine they will simulate before the first run: one the engine
+//! `--scale` must lie in (0, 1]. `run` and `sweep` validate every
+//! machine they will simulate before the first run: one the engine
 //! cannot simulate (more than 64 nodes, a ring above 16 MB, a node count
 //! the ring's channels do not divide, a star that does not tile) exits 2
 //! with the validator's message and the machine flags.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::BufWriter;
 use std::path::PathBuf;
 use std::process::exit;
@@ -75,7 +71,7 @@ use std::process::exit;
 use netcache::apps::{trace, AppId, Op, Workload};
 use netcache::figures::{self, Verdicts};
 use netcache::mem::AddressMap;
-use netcache::sweep::{NoopObserver, StderrProgress, SweepObserver, SweepResult, SweepSpec};
+use netcache::sweep::{NoopObserver, StderrProgress, SweepObserver, SweepResult};
 use netcache::{run_app, run_streams, Arch, EngineScratch, Store, SysConfig, TopoKind};
 use netcache::{Sweep, SweepPoint};
 
@@ -94,10 +90,9 @@ struct Args {
     jobs: Option<usize>,
     json: Option<String>,
     csv: Option<String>,
-    serial: bool,
     quiet: bool,
-    /// Directory of the on-disk result store (sweep/compare read through
-    /// it).
+    /// Directory of the on-disk result store (sweep and figures read
+    /// through it).
     store: Option<String>,
     no_store: bool,
     /// Every flag given, in order.
@@ -107,15 +102,11 @@ struct Args {
 /// Each subcommand and exactly the flags its branch of `main` reads. Any
 /// other flag exits 2 before anything runs: a flag that is accepted and
 /// ignored would misdescribe the machine or the output that resulted.
-const FLAGS: [(&str, &str); 7] = [
+const FLAGS: [(&str, &str); 6] = [
     ("run", "--arch --scale --procs --ring-kb --topology --rings"),
     (
-        "compare",
-        "--scale --procs --ring-kb --topology --rings --jobs --serial --store --no-store",
-    ),
-    (
         "sweep",
-        "--archs --scale --procs --ring-kbs --topology --rings --jobs --serial --quiet \
+        "--archs --scale --procs --ring-kbs --topology --rings --jobs --quiet \
          --store --no-store --json --csv",
     ),
     ("trace", "--scale --procs"),
@@ -125,14 +116,14 @@ const FLAGS: [(&str, &str); 7] = [
 ];
 
 fn usage() -> ! {
-    eprintln!("usage: netcache <run|compare|sweep|trace|replay|profile|figures> ...");
+    eprintln!("usage: netcache <run|sweep|trace|replay|profile|figures> ...");
     for (cmd, flags) in FLAGS {
         eprintln!("  {cmd} takes {flags}");
     }
     eprintln!(
         "--arch netcache|lambdanet|dmon-u|dmon-i, --archs A,B|all, \
          --topology single|multi-ring|star-of-rings; --store DIR caches results on disk \
-         (sweep/compare/figures serve cached cells), --no-store forces recomputation"
+         (sweep/figures serve cached cells), --no-store forces recomputation"
     );
     exit(2)
 }
@@ -198,7 +189,6 @@ fn parse_args() -> Args {
         jobs: None,
         json: None,
         csv: None,
-        serial: false,
         quiet: false,
         store: None,
         no_store: false,
@@ -243,7 +233,6 @@ fn parse_args() -> Args {
             "--jobs" => args.jobs = Some(parse_count("--jobs", &grab("--jobs"))),
             "--json" => args.json = Some(grab("--json")),
             "--csv" => args.csv = Some(grab("--csv")),
-            "--serial" => args.serial = true,
             "--quiet" => args.quiet = true,
             "--store" => args.store = Some(grab("--store")),
             "--no-store" => args.no_store = true,
@@ -326,13 +315,13 @@ fn machine(args: &Args, arch: Arch, ring_kb: Option<u64>) -> SysConfig {
     cfg
 }
 
-/// Validates every machine a subcommand is about to simulate, before any
-/// run starts: one the engine cannot simulate (a node count the ring
-/// does not divide, a star that does not tile, more nodes or a larger
-/// ring than the engine supports) exits 2 with the validator's message
-/// and the flags that shaped the machine.
-fn check_machines(args: &Args, cfgs: &[SysConfig]) {
-    let Some(e) = cfgs.iter().find_map(|c| c.validate().err()) else {
+/// Validates a machine a subcommand is about to simulate, before any run
+/// starts: one the engine cannot simulate (a node count the ring does
+/// not divide, a star that does not tile, more nodes or a larger ring
+/// than the engine supports) exits 2 with the validator's message and
+/// the flags that shaped the machine.
+fn check_machine(args: &Args, cfg: &SysConfig) {
+    let Err(e) = cfg.validate() else {
         return;
     };
     let mut flags = format!("--procs {}", args.procs);
@@ -352,12 +341,8 @@ fn check_machines(args: &Args, cfgs: &[SysConfig]) {
     fail(format!("invalid machine ({flags}): {e}"))
 }
 
-/// Worker threads for a sweep: 1 with `--serial`, else `--jobs`,
-/// defaulting to every host core.
+/// Worker threads for a sweep: `--jobs`, defaulting to every host core.
 fn jobs(args: &Args) -> usize {
-    if args.serial {
-        return 1;
-    }
     args.jobs
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
 }
@@ -517,7 +502,7 @@ fn main() {
                     .unwrap_or_else(|| usage()),
             );
             let cfg = machine(&args, args.arch, args.ring_kb);
-            check_machines(&args, &[cfg]);
+            check_machine(&args, &cfg);
             let wl = Workload::new(app, args.procs).scale(args.scale);
             let r = run_app(&cfg, &wl);
             println!("{}", r.summary());
@@ -529,37 +514,6 @@ fn main() {
                 100.0 * r.sync_fraction(),
                 r.avg_shared_read_latency()
             );
-        }
-        "compare" => {
-            let app = app_by_name(
-                args.positional
-                    .get(1)
-                    .map(String::as_str)
-                    .unwrap_or_else(|| usage()),
-            );
-            // All four systems run concurrently through the sweep engine,
-            // on the machines `sweep` builds: the ring size is NetCache's.
-            let cfgs: Vec<SysConfig> = Arch::ALL
-                .iter()
-                .map(|&a| machine(&args, a, args.ring_kb.filter(|_| a == Arch::NetCache)))
-                .collect();
-            check_machines(&args, &cfgs);
-            let store = open_store(&args);
-            let points = cfgs
-                .into_iter()
-                .map(|c| SweepPoint::new(c, app, args.scale))
-                .collect();
-            let result =
-                Sweep::from_points(points).run_stored(jobs(&args), &NoopObserver, store.as_ref());
-            let base = result.runs[0].report.cycles;
-            for r in result.runs.iter().map(|r| &r.report) {
-                println!(
-                    "{:<10} {:>12} cycles  {:>6.2}x",
-                    r.arch,
-                    r.cycles,
-                    r.cycles as f64 / base as f64
-                );
-            }
         }
         "sweep" => {
             // Grid axes: positional apps (default: all twelve), --archs
@@ -573,33 +527,41 @@ fn main() {
                 AppId::ALL.to_vec()
             };
             let archs = args.archs.clone().unwrap_or_else(|| Arch::ALL.to_vec());
-            // The machines the grid will build; as in `SweepSpec::ring_kb`,
-            // the ring-size axis varies NetCache only.
-            let cfgs: Vec<SysConfig> = archs
-                .iter()
-                .flat_map(|&arch| match (&args.ring_kbs, arch) {
-                    (Some(kbs), Arch::NetCache) => kbs
-                        .iter()
-                        .map(|&kb| machine(&args, arch, Some(kb)))
-                        .collect(),
-                    _ => vec![machine(&args, arch, None)],
-                })
-                .collect();
-            check_machines(&args, &cfgs);
-            let mut spec = SweepSpec::new()
-                .archs(archs)
-                .apps(apps)
-                .nodes([args.procs])
-                .scale(args.scale);
-            if let Some(kbs) = &args.ring_kbs {
-                spec = spec.ring_kb(kbs.iter().copied());
+            let ring_kbs: Vec<Option<u64>> = match &args.ring_kbs {
+                Some(kbs) => kbs.iter().copied().map(Some).collect(),
+                None => vec![None],
+            };
+            // The cells, nested arch → app → ring size. The ring-size axis
+            // varies NetCache only: the other architectures have no ring.
+            // Each machine is checked before its label is made (the label
+            // reads the ring's byte size, which an unchecked `--ring-kbs`
+            // value overflows), and all of them before anything runs.
+            let mut points = Vec::new();
+            for &arch in &archs {
+                let rings = if arch == Arch::NetCache {
+                    &ring_kbs[..]
+                } else {
+                    &[None]
+                };
+                for &app in &apps {
+                    for &ring in rings {
+                        let cfg = machine(&args, arch, ring);
+                        check_machine(&args, &cfg);
+                        points.push(SweepPoint::new(cfg, app, args.scale));
+                    }
+                }
             }
-            if args.topology.is_some() || args.rings.is_some() {
-                spec = spec.topologies([(cfgs[0].topo.kind, cfgs[0].topo.rings)]);
+            let mut labels = HashSet::new();
+            if let Some(p) = points.iter().find(|p| !labels.insert(&p.label)) {
+                fail(format!(
+                    "sweep names the cell {} twice: give each app, --archs entry \
+                     and --ring-kbs size once",
+                    p.label
+                ))
             }
-            let sweep = spec.build();
             let store = open_store(&args);
-            let result = sweep.run_stored(jobs(&args), observer(&args), store.as_ref());
+            let result =
+                Sweep::from_points(points).run_stored(jobs(&args), observer(&args), store.as_ref());
             println!(
                 "{:<32} {:>14} {:>10} {:>10}",
                 "cell", "cycles", "sc-hit %", "wall ms"

@@ -134,7 +134,6 @@ fn scale_out_of_range_exits_two_naming_the_flag() {
     let dir = scratch_dir("scale");
     for cmd in [
         &["run", "cg"][..],
-        &["compare", "cg"],
         &["sweep", "cg"],
         &["profile", "cg"],
         &["trace", "cg", path_arg(&dir)],
@@ -196,7 +195,7 @@ fn oversized_ring_exits_two_naming_the_limit() {
 /// given.
 #[test]
 fn indivisible_node_count_exits_two_on_every_subcommand() {
-    for cmd in ["run", "compare", "sweep"] {
+    for cmd in ["run", "sweep"] {
         let out = netcache(&[cmd, "cg", "--procs", "3", "--scale", "0.02"]);
         let err = stderr_of(&out);
         assert_eq!(out.status.code(), Some(2), "{cmd}: stderr: {err}");
@@ -212,24 +211,29 @@ fn indivisible_node_count_exits_two_on_every_subcommand() {
     }
 }
 
-/// `compare` builds the machines `run` and `sweep` build: an oversized
-/// `--ring-kb` is rejected naming the limit, not dropped.
+/// `sweep` validates every cell's machine before it labels or runs any:
+/// an oversized `--ring-kbs` size exits 2 naming the flag and the limit.
+/// 2^54 KB is 2^64 bytes, which no ring size computation may see
+/// unchecked.
 #[test]
-fn compare_with_an_oversized_ring_exits_two_naming_the_limit() {
-    let args = ["compare", "fft", "--procs", "4", "--scale", "0.02"];
-    let out = netcache(&[&args[..], &["--ring-kb", "100000000"]].concat());
-    let err = stderr_of(&out);
-    assert_eq!(out.status.code(), Some(2), "stderr: {err}");
-    assert!(err.contains("--ring-kb"), "flag not named: {err}");
-    assert!(err.contains("KB limit"), "limit not named: {err}");
+fn sweep_with_an_oversized_ring_exits_two_naming_the_limit() {
+    for kb in ["100000000", "18014398509481984"] {
+        let args = ["sweep", "fft", "--procs", "4", "--scale", "0.02"];
+        let out = netcache(&[&args[..], &["--ring-kbs", kb]].concat());
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "{kb}: stderr: {err}");
+        assert!(err.contains("--ring-kbs"), "flag not named ({kb}): {err}");
+        assert!(err.contains("KB limit"), "limit not named ({kb}): {err}");
+        assert!(stdout_of(&out).is_empty(), "{kb}: ran anyway");
+    }
 }
 
-/// `compare` honours the fabric flags: 128 channels do not split across
-/// 3 rings, so the machine is rejected naming the flags.
+/// `sweep` honours the fabric flags on every cell: 128 channels do not
+/// split across 3 rings, so the machines are rejected naming the flags.
 #[test]
-fn compare_with_an_unsplittable_multi_ring_exits_two_naming_the_flags() {
+fn sweep_with_an_unsplittable_multi_ring_exits_two_naming_the_flags() {
     let out = netcache(&[
-        "compare",
+        "sweep",
         "fft",
         "--procs",
         "4",
@@ -249,30 +253,118 @@ fn compare_with_an_unsplittable_multi_ring_exits_two_naming_the_flags() {
     );
 }
 
-/// `compare`'s NetCache row is the machine `run` simulates for the same
-/// flags, ring size included.
+/// The cycles `sweep` prints for one of its cells.
+fn sweep_cycles<'a>(out: &'a str, label: &str) -> &'a str {
+    out.lines()
+        .find_map(|l| {
+            let mut cols = l.split_whitespace();
+            (cols.next() == Some(label)).then(|| cols.next()).flatten()
+        })
+        .unwrap_or_else(|| panic!("sweep prints no {label} row:\n{out}"))
+}
+
+/// `sweep`'s 64 KB NetCache cell is the machine `run --ring-kb 64`
+/// simulates for the same flags.
 #[test]
-fn compare_runs_netcache_with_the_requested_ring() {
-    let flags = ["--procs", "16", "--scale", "0.02", "--ring-kb", "64"];
-    let run = netcache(&[&["run", "fft"][..], &flags].concat());
+fn sweep_runs_netcache_with_the_requested_ring() {
+    let shape = ["--procs", "16", "--scale", "0.02"];
+    let run = netcache(&[&["run", "fft", "--ring-kb", "64"][..], &shape].concat());
     assert_eq!(run.status.code(), Some(0), "stderr: {}", stderr_of(&run));
     let run_out = stdout_of(&run);
     let run_cycles = run_out
         .split_whitespace()
         .nth(1)
         .expect("run prints `NetCache: <cycles> cycles`");
-    let cmp = netcache(&[&["compare", "fft"][..], &flags].concat());
-    assert_eq!(cmp.status.code(), Some(0), "stderr: {}", stderr_of(&cmp));
-    let cmp_out = stdout_of(&cmp);
-    let nc_cycles = cmp_out
-        .lines()
-        .find_map(|l| l.strip_prefix("NetCache"))
-        .and_then(|l| l.split_whitespace().next())
-        .expect("compare prints a NetCache row");
+    let sweep = netcache(&[&["sweep", "fft", "--ring-kbs", "64", "--quiet"][..], &shape].concat());
     assert_eq!(
-        nc_cycles, run_cycles,
-        "compare:\n{cmp_out}\nrun:\n{run_out}"
+        sweep.status.code(),
+        Some(0),
+        "stderr: {}",
+        stderr_of(&sweep)
     );
+    let sweep_out = stdout_of(&sweep);
+    assert_eq!(
+        sweep_cycles(&sweep_out, "netcache/fft/p16/s0.02/ring64k"),
+        run_cycles,
+        "sweep:\n{sweep_out}\nrun:\n{run_out}"
+    );
+}
+
+/// The cell labels `sweep` prints, in order.
+fn sweep_labels(out: &str) -> Vec<&str> {
+    out.lines()
+        .filter_map(|l| l.split_whitespace().next())
+        .filter(|first| first.contains('/'))
+        .collect()
+}
+
+/// `sweep` nests its cells arch → app → ring size, and the ring sizes
+/// cross NetCache only: the other architectures have no ring to size.
+#[test]
+fn sweep_grid_order_crosses_the_ring_axis_on_netcache_only() {
+    let out = netcache(&[
+        "sweep",
+        "fft",
+        "sor",
+        "--archs",
+        "netcache,lambdanet",
+        "--ring-kbs",
+        "0,64",
+        "--procs",
+        "4",
+        "--scale",
+        "0.02",
+        "--quiet",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
+    assert_eq!(
+        sweep_labels(&stdout_of(&out)),
+        [
+            "netcache/fft/p4/s0.02/no-ring",
+            "netcache/fft/p4/s0.02/ring64k",
+            "netcache/sor/p4/s0.02/no-ring",
+            "netcache/sor/p4/s0.02/ring64k",
+            "lambdanet/fft/p4/s0.02",
+            "lambdanet/sor/p4/s0.02",
+        ]
+    );
+}
+
+/// A grid that names a cell twice (an app, an architecture or a ring size
+/// given twice) exits 2 naming the cell, before anything runs or reaches
+/// the store: it would simulate the cell twice and count one record as
+/// two computed cells.
+#[test]
+fn sweep_naming_a_cell_twice_exits_two_naming_it() {
+    let dir = scratch_dir("twice");
+    let shape = ["--procs", "4", "--scale", "0.02", "--quiet"];
+    for (axes, cell) in [
+        (
+            &["fft", "fft", "--archs", "netcache"][..],
+            "netcache/fft/p4/s0.02",
+        ),
+        (
+            &["fft", "--archs", "netcache,netcache"],
+            "netcache/fft/p4/s0.02",
+        ),
+        (
+            &["fft", "--archs", "netcache", "--ring-kbs", "16,16"],
+            "netcache/fft/p4/s0.02/ring16k",
+        ),
+    ] {
+        let store = ["--store", path_arg(&dir)];
+        let out = netcache(&[&["sweep"][..], axes, &shape, &store].concat());
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "{axes:?}: stderr: {err}");
+        assert!(
+            err.contains(&format!("cell {cell} twice")),
+            "{axes:?}: cell not named: {err}"
+        );
+        assert!(stdout_of(&out).is_empty(), "{axes:?}: ran anyway");
+    }
+    let written = std::fs::read_dir(&dir).map_or(0, |d| d.count());
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(written, 0, "a rejected sweep wrote into {dir:?}");
 }
 
 /// An unknown figure exits 2 naming it and listing the valid names.

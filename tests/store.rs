@@ -10,7 +10,7 @@ use netcache::apps::AppId;
 use netcache::figures::speedup_cells;
 use netcache::sweep::NoopObserver;
 use netcache::{point_key, Arch, Store, SysConfig};
-use netcache::{Sweep, SweepPoint, SweepSpec};
+use netcache::{Sweep, SweepPoint};
 
 /// A scratch store directory unique to this test process.
 fn scratch(tag: &str) -> PathBuf {
@@ -21,12 +21,17 @@ fn scratch(tag: &str) -> PathBuf {
 
 /// A small but heterogeneous grid: two architectures, three apps.
 fn small_sweep() -> Sweep {
-    SweepSpec::new()
-        .archs([Arch::NetCache, Arch::DmonI])
-        .apps([AppId::Sor, AppId::Fft, AppId::Water])
-        .nodes([2])
-        .scale(0.02)
-        .build()
+    let mut points = Vec::new();
+    for arch in [Arch::NetCache, Arch::DmonI] {
+        for app in [AppId::Sor, AppId::Fft, AppId::Water] {
+            points.push(SweepPoint::new(
+                SysConfig::base(arch).with_nodes(2),
+                app,
+                0.02,
+            ));
+        }
+    }
+    Sweep::from_points(points)
 }
 
 #[test]
@@ -132,29 +137,31 @@ fn stored_reports(points: Vec<SweepPoint>, store: &Store) -> Vec<netcache::RunRe
 
 #[test]
 fn compare_and_speedup_read_through_the_store() {
-    // `netcache compare`'s four cells and Fig. 5's two cells read through
-    // the store like any sweep's.
+    // One app's four-architecture row (a Fig. 6 row) and Fig. 5's two
+    // cells read through the store like any sweep's.
     let dir = scratch("readthrough");
     let cfgs: Vec<SysConfig> = Arch::ALL
         .iter()
         .map(|&a| SysConfig::base(a).with_nodes(2))
         .collect();
-    let compare_cells = || {
+    let row_cells = || {
         cfgs.iter()
             .map(|&c| SweepPoint::new(c, AppId::Gauss, 0.02))
             .collect::<Vec<_>>()
     };
 
     let store = Store::open(&dir).unwrap();
-    let cold = stored_reports(compare_cells(), &store);
+    let cold = stored_reports(row_cells(), &store);
     assert_eq!(store.stats().hits, 0);
 
     let warm_store = Store::open(&dir).unwrap();
-    let warm = stored_reports(compare_cells(), &warm_store);
+    let warm = stored_reports(row_cells(), &warm_store);
     assert_eq!(warm_store.stats().hits, cfgs.len() as u64);
-    assert_eq!(cold, warm, "warm compare differs from cold");
+    assert_eq!(cold, warm, "warm row differs from cold");
     // And the storeless path agrees with both.
-    assert_eq!(cold, netcache::compare(cfgs.iter(), AppId::Gauss, 0.02));
+    let storeless = Sweep::from_points(row_cells()).run(2);
+    let storeless: Vec<_> = storeless.runs.into_iter().map(|r| r.report).collect();
+    assert_eq!(cold, storeless, "storeless row differs from the stored one");
 
     let cfg = SysConfig::base(Arch::NetCache).with_nodes(4);
     let fig5 = || speedup_cells(cfg, AppId::Sor, 0.02).to_vec();

@@ -7,7 +7,7 @@
 
 use netcache::apps::AppId;
 use netcache::sim::Xoshiro256StarStar;
-use netcache::sweep::{ProgressCounters, SweepPoint, SweepSpec};
+use netcache::sweep::{ProgressCounters, SweepPoint};
 use netcache::{Arch, Sweep, SysConfig};
 
 /// Runs `f` over `cases` independently seeded RNGs; a panic inside one
@@ -26,8 +26,9 @@ fn check(cases: u64, f: impl Fn(&mut Xoshiro256StarStar) + std::panic::RefUnwind
 }
 
 /// A random small grid: 1–2 architectures, 1–3 apps, 2 or 4 nodes, a
-/// small scale, and sometimes a ring-size axis.
-fn arb_spec(rng: &mut Xoshiro256StarStar) -> SweepSpec {
+/// small scale, and sometimes a ring-size axis, which crosses NetCache
+/// only. Cells nest arch → app → ring size, as the CLI's do.
+fn arb_sweep(rng: &mut Xoshiro256StarStar) -> Sweep {
     let mut archs = Arch::ALL.to_vec();
     rng.shuffle(&mut archs);
     archs.truncate(1 + rng.below(2) as usize);
@@ -39,15 +40,30 @@ fn arb_spec(rng: &mut Xoshiro256StarStar) -> SweepSpec {
     let nodes = if rng.chance(0.5) { 2 } else { 4 };
     let scale = 0.01 + rng.f64() * 0.03;
 
-    let mut spec = SweepSpec::new()
-        .archs(archs)
-        .apps(apps)
-        .nodes([nodes])
-        .scale(scale);
-    if rng.chance(0.3) {
-        spec = spec.ring_kb([0, 64]);
+    let ring_kbs: &[Option<u64>] = if rng.chance(0.3) {
+        &[Some(0), Some(64)]
+    } else {
+        &[None]
+    };
+
+    let mut points = Vec::new();
+    for arch in archs {
+        let rings = if arch == Arch::NetCache {
+            ring_kbs
+        } else {
+            &[None]
+        };
+        for &app in &apps {
+            for &ring in rings {
+                let mut cfg = SysConfig::base(arch).with_nodes(nodes);
+                if let Some(kb) = ring {
+                    cfg = cfg.with_ring_kb(kb);
+                }
+                points.push(SweepPoint::new(cfg, app, scale));
+            }
+        }
     }
-    spec
+    Sweep::from_points(points)
 }
 
 // ---------------------------------------------------------------------
@@ -58,7 +74,7 @@ fn arb_spec(rng: &mut Xoshiro256StarStar) -> SweepSpec {
 #[test]
 fn parallel_sweep_equals_serial_on_random_grids() {
     check(8, |rng| {
-        let sweep = arb_spec(rng).build();
+        let sweep = arb_sweep(rng);
         let jobs = 2 + rng.below(6) as usize;
         let serial = sweep.run(1);
         let parallel = sweep.run(jobs);
@@ -117,12 +133,11 @@ fn sweep_output_order_matches_grid_order_under_reversed_durations() {
 
 #[test]
 fn csv_and_json_have_one_row_per_cell_in_grid_order() {
-    let sweep = SweepSpec::new()
-        .archs([Arch::NetCache, Arch::LambdaNet])
-        .apps([AppId::Sor])
-        .nodes([2])
-        .scale(0.02)
-        .build();
+    let sweep = Sweep::from_points(
+        [Arch::NetCache, Arch::LambdaNet]
+            .map(|a| SweepPoint::new(SysConfig::base(a).with_nodes(2), AppId::Sor, 0.02))
+            .to_vec(),
+    );
     let result = sweep.run(2);
 
     let csv = result.to_csv();
