@@ -197,9 +197,12 @@ impl RingConfig {
         }
     }
 
-    /// Total data capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.channels as u64 * self.frames_per_channel as u64 * self.block_bytes
+    /// Total data capacity in bytes. Counted in `u128`, saturating: a ring
+    /// not yet validated may hold more bytes than a `u64` counts.
+    pub fn capacity_bytes(&self) -> u128 {
+        (self.channels as u128)
+            .saturating_mul(self.frames_per_channel as u128)
+            .saturating_mul(u128::from(self.block_bytes))
     }
 
     /// True if the ring exists.
@@ -220,7 +223,7 @@ impl RingConfig {
 }
 
 /// The most nodes a machine may have: [`crate::sharers::SharerMap`]
-/// keeps one bit per node in a `u64` mask, and update broadcasts reach
+/// keeps one bit per node in a `u64` mask, and coherence walks reach
 /// only the nodes whose bit is set.
 const MAX_NODES: usize = 64;
 
@@ -368,9 +371,7 @@ impl SysConfig {
                 self.nodes
             ));
         }
-        let ring_bytes = (self.ring.channels as u128)
-            .saturating_mul(self.ring.frames_per_channel as u128)
-            .saturating_mul(u128::from(self.ring.block_bytes));
+        let ring_bytes = self.ring.capacity_bytes();
         if ring_bytes > u128::from(MAX_RING_KB) * 1024 {
             return Err(format!(
                 "a {} KB shared-cache ring exceeds the {MAX_RING_KB} KB limit",

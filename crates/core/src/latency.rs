@@ -21,12 +21,6 @@ pub mod consts {
     pub const L2_TO_NI: u64 = 10;
     /// Transferring just a command/address to the NI (DMON-I invalidates).
     pub const CMD_TO_NI: u64 = 2;
-    /// One-slot reservation on a DMON-style control channel (at the base
-    /// 10 Gbit/s rate; scaled via [`super::slot_width`]).
-    pub const RESERVATION: u64 = 1;
-    /// Single-slot message (memory request / ack) on a slotted channel (at
-    /// the base rate; scaled via [`super::slot_width`]).
-    pub const SLOT_MSG: u64 = 1;
     /// Bits in a single-slot message (address + command): determines the
     /// slot width at a given transmission rate.
     pub const SLOT_BITS: u64 = 50;

@@ -257,7 +257,8 @@ pub(crate) struct Machine<P: Protocol> {
     ops_done: u64,
     /// Ops retired inside elided runs.
     elided: u64,
-    /// Which nodes ever filled each block (exact-negative update filter).
+    /// Which nodes ever filled each block (exact-negative filter for
+    /// every protocol's coherence walk).
     sharers: SharerMap,
 }
 
@@ -362,7 +363,7 @@ impl<P: Protocol> Machine<P> {
             .map(|n| (n.mem.reads(), n.mem.busy_total(), n.mem.mean_wait()))
             .collect();
         let report = RunReport {
-            arch: self.proto.arch().name(),
+            arch: self.cfg.arch.name(),
             cycles,
             nodes: self.stats,
             proto: *self.proto.counters(),
@@ -437,13 +438,8 @@ impl<P: Protocol> Machine<P> {
             self.wake(p, t, Stall::Wb);
         }
         let ack_at = if entry.shared {
-            self.proto.retire_shared_write(
-                &mut self.nodes,
-                p,
-                &entry,
-                t,
-                self.sharers.sharers(entry.block),
-            )
+            self.proto
+                .retire_shared_write(&mut self.nodes, p, &entry, t, &mut self.sharers)
         } else {
             // Private write: drains into the local memory, no coherence.
             let (applied, _) = self.nodes[p].mem.apply_update(t + 1, entry.words());
@@ -465,10 +461,10 @@ impl<P: Protocol> Machine<P> {
 
     /// Fills the L2 (routing any eviction through the protocol) and L1.
     fn fill_caches(&mut self, p: usize, addr: u64, t: Time) {
-        // Every peer-visible cache allocation funnels through here: note
-        // the sharer bit that licenses update broadcasts to probe `p`.
-        // (L1-only fills elsewhere copy a block the L2 already holds, so
-        // their bit is already set.)
+        // Every miss fill funnels through here: note the sharer bit that
+        // licenses coherence walks to probe `p`. (DMON-I notes its own
+        // write-ownership fill; L1-only fills elsewhere copy a block the
+        // L2 already holds, so their bit is already set.)
         self.sharers.note(p, self.map.block_of(addr));
         if let Some(ev) = self.nodes[p].l2.fill(addr, false) {
             self.proto
@@ -648,12 +644,6 @@ impl<P: Protocol> Machine<P> {
                         };
                     }
                     let mut it = iter;
-                    // Verify-fail memo: the slot that broke the last bulk
-                    // attempt. A persistently non-resident slot (e.g. a
-                    // read of a line a peer keeps refreshing away) then
-                    // costs one probe per scalar iteration instead of a
-                    // full verify sweep.
-                    let mut hint = usize::MAX;
                     while it < n && *now <= deadline {
                         // A batch spans as many iterations as every slot
                         // can retire with one commit call: write slots stay
@@ -662,7 +652,6 @@ impl<P: Protocol> Machine<P> {
                         // lines as long as every touched line is resident
                         // (probed line by line below).
                         let mut seg = n - it;
-                        let mut bulk_ok = true;
                         // Write slots opening a fresh buffer entry this
                         // batch (bit per slot index), and the buffer
                         // index each committing slot coalesces into (one
@@ -671,39 +660,24 @@ impl<P: Protocol> Machine<P> {
                         let mut push_mask = 0u16;
                         let mut pushes = 0usize;
                         let mut widx = [0u8; 16];
-                        if hint != usize::MAX {
-                            let still = match slots[hint] {
-                                Slot::Read { base, stride } => {
-                                    !env.node.l1.contains(base + it * stride)
-                                }
-                                _ => false,
-                            };
-                            if still {
-                                bulk_ok = false;
-                            } else {
-                                hint = usize::MAX;
-                            }
-                        }
                         let mut push_writeif = false;
-                        if bulk_ok {
-                            // Write-like slots first: they clamp the span
-                            // cheaply, so the read pass never probes lines
-                            // past the batch.
-                            for (si, s) in slots.iter().enumerate() {
-                                let (base, stride, gated) = match *s {
-                                    Slot::Write { base, stride } => (base, stride, false),
-                                    Slot::WriteIf { base, stride } => (base, stride, true),
-                                    _ => continue,
-                                };
-                                let a = base + it * stride;
-                                seg = seg.min(span_iters(a, stride, seg, env.map.block_bytes));
-                                match env.node.wb.find_block(env.map.block_of(a)) {
-                                    Some(i) => widx[si] = i as u8,
-                                    None => {
-                                        push_mask |= 1 << si;
-                                        pushes += 1;
-                                        push_writeif |= gated;
-                                    }
+                        // Write-like slots first: they clamp the span
+                        // cheaply, so the read pass never probes lines past
+                        // the batch.
+                        for (si, s) in slots.iter().enumerate() {
+                            let (base, stride, gated) = match *s {
+                                Slot::Write { base, stride } => (base, stride, false),
+                                Slot::WriteIf { base, stride } => (base, stride, true),
+                                _ => continue,
+                            };
+                            let a = base + it * stride;
+                            seg = seg.min(span_iters(a, stride, seg, env.map.block_bytes));
+                            match env.node.wb.find_block(env.map.block_of(a)) {
+                                Some(i) => widx[si] = i as u8,
+                                None => {
+                                    push_mask |= 1 << si;
+                                    pushes += 1;
+                                    push_writeif |= gated;
                                 }
                             }
                         }
@@ -718,18 +692,16 @@ impl<P: Protocol> Machine<P> {
                         // two creations in one batch could land in the
                         // buffer out of FIFO order — batch only when the
                         // creation this round is unique.
-                        if bulk_ok && pushes > 0 {
-                            bulk_ok = (env.retiring || *env.kick_pending)
+                        let mut bulk_ok = pushes == 0
+                            || ((env.retiring || *env.kick_pending)
                                 && env.node.wb.room() >= pushes
-                                && !(push_writeif && pushes > 1);
-                        }
+                                && !(push_writeif && pushes > 1));
                         if bulk_ok {
-                            for (si, s) in slots.iter().enumerate() {
+                            for s in slots {
                                 if let Slot::Read { base, stride } = *s {
                                     let a = base + it * stride;
                                     if !env.node.l1.contains(a) {
                                         bulk_ok = false;
-                                        hint = si;
                                         break;
                                     }
                                     // Extend the verified span line by

@@ -227,20 +227,10 @@ impl RunReport {
     /// hashing them would invalidate every pinned golden constant each time
     /// fast-path coverage changes.
     pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut put = |x: u64| {
-            for byte in x.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        for b in self.arch.bytes() {
-            put(b as u64);
-        }
-        put(self.cycles);
-        put(self.events);
+        let mut h = Fnv::new();
+        h.put_str(self.arch);
+        h.put(self.cycles);
+        h.put(self.events);
         for n in &self.nodes {
             for v in [
                 n.busy,
@@ -261,7 +251,7 @@ impl RunReport {
                 n.shared_reads,
                 n.finish,
             ] {
-                put(v);
+                h.put(v);
             }
         }
         let p = &self.proto;
@@ -276,7 +266,7 @@ impl RunReport {
             p.remote_l2_refreshes,
             p.remote_l1_invalidates,
         ] {
-            put(v);
+            h.put(v);
         }
         if let Some(r) = self.ring {
             for v in [
@@ -288,23 +278,21 @@ impl RunReport {
                 r.updates_applied,
                 r.window_delays,
             ] {
-                put(v);
+                h.put(v);
             }
         }
         for (name, served, busy, wait) in &self.channels {
-            for b in name.bytes() {
-                put(b as u64);
-            }
-            put(*served);
-            put(*busy);
-            put(wait.to_bits());
+            h.put_str(name);
+            h.put(*served);
+            h.put(*busy);
+            h.put(wait.to_bits());
         }
         for (reads, busy, wait) in &self.memories {
-            put(*reads);
-            put(*busy);
-            put(wait.to_bits());
+            h.put(*reads);
+            h.put(*busy);
+            h.put(wait.to_bits());
         }
-        h
+        h.finish()
     }
 
     /// One-line human summary.
@@ -320,6 +308,32 @@ impl RunReport {
             100.0 * self.read_latency_fraction(),
             100.0 * self.sync_fraction(),
         )
+    }
+}
+
+/// FNV-1a accumulator: [`RunReport::digest`] and the store's cell keys.
+pub(crate) struct Fnv(u64);
+
+impl Fnv {
+    pub(crate) fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    pub(crate) fn put(&mut self, x: u64) {
+        for byte in x.to_le_bytes() {
+            self.0 ^= byte as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    pub(crate) fn put_str(&mut self, s: &str) {
+        for b in s.bytes() {
+            self.put(b as u64);
+        }
+    }
+
+    pub(crate) fn finish(&self) -> u64 {
+        self.0
     }
 }
 

@@ -23,129 +23,20 @@
 //! which the timing model folds into the writeback occupancy.
 
 use desim::Time;
-use memsys::{Addr, AddressMap, BlockAddr, WriteEntry};
+use memsys::{Addr, AddressMap, WriteEntry};
 
 use super::dmon_u::DmonChannels;
 use super::{Node, ProtoCounters, Protocol, ReadKind, ReadResult};
-use crate::config::{Arch, SysConfig};
+use crate::config::SysConfig;
 use crate::latency::consts;
-
-/// Slot sentinel for [`DirMap`]: no real block is `u64::MAX`.
-const DIR_EMPTY: BlockAddr = BlockAddr::MAX;
-
-/// Open-addressed `block -> owner` directory: linear probing with
-/// backward-shift deletion, Fibonacci hashing, power-of-two capacity.
-/// Every I-SPEED memory request consults the directory, so this sits on
-/// the per-event hot path — one multiply and a short probe run beat the
-/// std `HashMap`'s SipHash per lookup.
-struct DirMap {
-    keys: Vec<BlockAddr>,
-    vals: Vec<usize>,
-    len: usize,
-}
-
-impl DirMap {
-    fn new() -> Self {
-        Self::with_capacity(1024)
-    }
-
-    fn with_capacity(cap: usize) -> Self {
-        let cap = cap.next_power_of_two();
-        Self {
-            keys: vec![DIR_EMPTY; cap],
-            vals: vec![0; cap],
-            len: 0,
-        }
-    }
-
-    /// Fibonacci hash: block numbers are dense/low-entropy, the golden
-    /// ratio multiply spreads them over the high bits.
-    #[inline]
-    fn home_slot(&self, key: BlockAddr) -> usize {
-        ((key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) & (self.keys.len() - 1)
-    }
-
-    #[inline]
-    fn get(&self, key: BlockAddr) -> Option<usize> {
-        let mask = self.keys.len() - 1;
-        let mut i = self.home_slot(key);
-        loop {
-            match self.keys[i] {
-                k if k == key => return Some(self.vals[i]),
-                DIR_EMPTY => return None,
-                _ => i = (i + 1) & mask,
-            }
-        }
-    }
-
-    fn insert(&mut self, key: BlockAddr, val: usize) {
-        if self.len * 10 >= self.keys.len() * 7 {
-            self.grow();
-        }
-        let mask = self.keys.len() - 1;
-        let mut i = self.home_slot(key);
-        loop {
-            match self.keys[i] {
-                k if k == key => {
-                    self.vals[i] = val;
-                    return;
-                }
-                DIR_EMPTY => {
-                    self.keys[i] = key;
-                    self.vals[i] = val;
-                    self.len += 1;
-                    return;
-                }
-                _ => i = (i + 1) & mask,
-            }
-        }
-    }
-
-    fn remove(&mut self, key: BlockAddr) {
-        let mask = self.keys.len() - 1;
-        let mut i = self.home_slot(key);
-        loop {
-            match self.keys[i] {
-                k if k == key => break,
-                DIR_EMPTY => return,
-                _ => i = (i + 1) & mask,
-            }
-        }
-        // Backward-shift deletion: pull later entries of the probe run
-        // into the hole so lookups never cross a gap (no tombstones).
-        self.keys[i] = DIR_EMPTY;
-        self.len -= 1;
-        let mut j = (i + 1) & mask;
-        while self.keys[j] != DIR_EMPTY {
-            let home = self.home_slot(self.keys[j]);
-            // Movable iff the hole lies on this entry's probe path.
-            if (i.wrapping_sub(home) & mask) < (j.wrapping_sub(home) & mask) {
-                self.keys[i] = self.keys[j];
-                self.vals[i] = self.vals[j];
-                self.keys[j] = DIR_EMPTY;
-                i = j;
-            }
-            j = (j + 1) & mask;
-        }
-    }
-
-    fn grow(&mut self) {
-        let mut bigger = Self::with_capacity(self.keys.len() * 2);
-        for (idx, &k) in self.keys.iter().enumerate() {
-            if k != DIR_EMPTY {
-                bigger.insert(k, self.vals[idx]);
-            }
-        }
-        *self = bigger;
-    }
-}
+use crate::sharers::{peers, BlockMap, SharerMap};
 
 /// DMON with I-SPEED.
 pub struct DmonI {
     map: AddressMap,
     ch: DmonChannels,
     /// Directory: block -> owning node. Absent means memory owns it.
-    owner: DirMap,
+    owner: BlockMap<usize>,
     counters: ProtoCounters,
 }
 
@@ -155,14 +46,21 @@ impl DmonI {
         Self {
             map,
             ch: DmonChannels::new(cfg, 1),
-            owner: DirMap::new(),
+            owner: BlockMap::default(),
             counters: ProtoCounters::default(),
         }
     }
 
     /// Broadcast an invalidation from `node`, transferring ownership to it.
     /// Returns the ack time (Table 3, DMON-I column).
-    fn invalidate(&mut self, nodes: &mut [Node], node: usize, addr: Addr, t: Time) -> Time {
+    fn invalidate(
+        &mut self,
+        nodes: &mut [Node],
+        node: usize,
+        addr: Addr,
+        t: Time,
+        sharers: &SharerMap,
+    ) -> Time {
         self.counters.invalidations += 1;
         let home = self.map.home_of(addr);
         let block = self.map.block_of(addr);
@@ -173,11 +71,10 @@ impl DmonI {
         let seen = sent + self.ch.fabric.broadcast(node);
         // All other caches snoop and invalidate their copies. The previous
         // owner's dirty data is superseded by this write — dropped, never
-        // written back (the writer produces the new value).
-        for (i, n) in nodes.iter_mut().enumerate() {
-            if i == node {
-                continue;
-            }
+        // written back (the writer produces the new value). Only nodes the
+        // sharer map names can hold a copy.
+        for i in peers(sharers.sharers(block), node) {
+            let n = &mut nodes[i];
             n.l2.invalidate(addr);
             if n.l1.invalidate(addr).is_some() {
                 self.counters.remote_l1_invalidates += 1;
@@ -229,14 +126,10 @@ impl DmonI {
 }
 
 impl Protocol for DmonI {
-    fn arch(&self) -> Arch {
-        Arch::DmonI
-    }
-
     fn read_remote(&mut self, nodes: &mut [Node], node: usize, addr: Addr, t: Time) -> ReadResult {
         let home = self.map.home_of(addr);
         let block = self.map.block_of(addr);
-        match self.owner.get(block) {
+        match self.owner.get(&block).copied() {
             Some(o) if o != node && nodes[o].l2.contains(addr) => ReadResult {
                 done: self.forwarded_read(nodes, node, home, o, t),
                 kind: ReadKind::Forwarded,
@@ -260,14 +153,11 @@ impl Protocol for DmonI {
         node: usize,
         entry: &WriteEntry,
         t: Time,
-        // DMON-I fills its own L2 outside the machine's fill chokepoint
-        // (write-ownership fetch), so the exact-negative argument does
-        // not cover it: keep the full invalidation walk.
-        _sharers: u64,
+        sharers: &mut SharerMap,
     ) -> Time {
         let block = entry.block;
         // Already the owner with the block cached: a pure local write.
-        if self.owner.get(block) == Some(node) && nodes[node].l2.contains(entry.addr) {
+        if self.owner.get(&block) == Some(&node) && nodes[node].l2.contains(entry.addr) {
             self.counters.local_writes += 1;
             nodes[node].l2.mark_dirty(entry.addr);
             return t + consts::L2_TAG + consts::DMONI_LOCAL_WRITE;
@@ -279,13 +169,16 @@ impl Protocol for DmonI {
         // there is no read-for-ownership on the critical path.
         if !nodes[node].l2.contains(entry.addr) {
             self.counters.write_fetches += 1;
+            // A fill outside the machine's `fill_caches`: note it, so a
+            // later writer's invalidation reaches this copy.
+            sharers.note(node, block);
             if let Some(ev) = nodes[node].l2.fill(entry.addr, true) {
                 let dirty = ev.dirty;
                 self.evicted_l2(nodes, node, ev.block, dirty, t);
             }
         }
         // Broadcast the invalidation; we own the (dirty) block afterwards.
-        let ack = self.invalidate(nodes, node, entry.addr, t);
+        let ack = self.invalidate(nodes, node, entry.addr, t, sharers);
         nodes[node].l2.mark_dirty(entry.addr);
         ack
     }
@@ -298,12 +191,12 @@ impl Protocol for DmonI {
     }
 
     fn evicted_l2(&mut self, nodes: &mut [Node], node: usize, block: u64, dirty: bool, t: Time) {
-        if !dirty || self.owner.get(block) != Some(node) {
+        if !dirty || self.owner.get(&block) != Some(&node) {
             return;
         }
         // Dirty owner eviction: write the block back to its home memory.
         self.counters.writebacks += 1;
-        self.owner.remove(block);
+        self.owner.remove(&block);
         let addr = block * 64;
         let home = self.map.home_of(addr);
         let granted = self.ch.reserve(node, t + consts::L2_TO_NI);
@@ -326,6 +219,7 @@ impl Protocol for DmonI {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Arch;
     use crate::latency;
 
     fn setup() -> (DmonI, Vec<Node>, AddressMap) {
@@ -353,45 +247,14 @@ mod tests {
     }
 
     #[test]
-    fn dir_map_matches_std_hashmap() {
-        // Differential: a random insert/remove/lookup mix over a small
-        // key space (forcing probe-run collisions, growth, and
-        // backward-shift deletions across wraps) must agree with the std
-        // map at every step.
-        use std::collections::HashMap;
-        let mut dir = DirMap::with_capacity(8); // tiny: exercise grow()
-        let mut reference: HashMap<BlockAddr, usize> = HashMap::new();
-        let mut rng = desim::SplitMix64::new(0xD1_12_EC_70);
-        for _ in 0..20_000 {
-            let key = rng.next_u64() % 512;
-            match rng.next_u64() % 3 {
-                0 => {
-                    let val = (rng.next_u64() % 16) as usize;
-                    dir.insert(key, val);
-                    reference.insert(key, val);
-                }
-                1 => {
-                    dir.remove(key);
-                    reference.remove(&key);
-                }
-                _ => {}
-            }
-            assert_eq!(dir.get(key), reference.get(&key).copied(), "key {key}");
-        }
-        assert_eq!(dir.len, reference.len());
-        for (&k, &v) in &reference {
-            assert_eq!(dir.get(k), Some(v));
-        }
-    }
-
-    #[test]
     fn upgrade_write_near_table3() {
         let (mut p, mut nodes, map) = setup();
         let a = remote_addr(&map, 0);
         // Pre-cache the block so no write fetch is needed.
         nodes[0].l2.fill(a, false);
         let t = 400;
-        let ack = p.retire_shared_write(&mut nodes, 0, &entry_for(&map, a), t, u64::MAX);
+        let ack =
+            p.retire_shared_write(&mut nodes, 0, &entry_for(&map, a), t, &mut SharerMap::new());
         let expect = latency::total(&latency::dmon_i_invalidate(&SysConfig::base(Arch::DmonI)));
         let lat = (ack - t) as i64;
         assert!((lat - expect as i64).abs() <= 17, "lat {lat} vs {expect}");
@@ -403,9 +266,10 @@ mod tests {
         let (mut p, mut nodes, map) = setup();
         let a = remote_addr(&map, 0);
         nodes[0].l2.fill(a, false);
-        p.retire_shared_write(&mut nodes, 0, &entry_for(&map, a), 0, u64::MAX);
+        p.retire_shared_write(&mut nodes, 0, &entry_for(&map, a), 0, &mut SharerMap::new());
         let t = 1000;
-        let ack = p.retire_shared_write(&mut nodes, 0, &entry_for(&map, a), t, u64::MAX);
+        let ack =
+            p.retire_shared_write(&mut nodes, 0, &entry_for(&map, a), t, &mut SharerMap::new());
         assert_eq!(ack - t, 12, "owner write: tag + write only");
         assert_eq!(p.counters().local_writes, 1);
     }
@@ -415,7 +279,8 @@ mod tests {
         let (mut p, mut nodes, map) = setup();
         let a = remote_addr(&map, 0);
         let t = 0;
-        let ack = p.retire_shared_write(&mut nodes, 0, &entry_for(&map, a), t, u64::MAX);
+        let ack =
+            p.retire_shared_write(&mut nodes, 0, &entry_for(&map, a), t, &mut SharerMap::new());
         // Just the invalidation transaction (~37); no 130-cycle fetch.
         assert!(ack - t < 80, "got {}", ack - t);
         assert_eq!(p.counters().write_fetches, 1);
@@ -432,10 +297,30 @@ mod tests {
         nodes[0].l2.fill(a, false);
         nodes[5].l2.fill(a, false);
         nodes[5].l1.fill(a, false);
-        p.retire_shared_write(&mut nodes, 0, &entry_for(&map, a), 0, u64::MAX);
+        let mut sharers = SharerMap::new();
+        sharers.note(5, map.block_of(a));
+        p.retire_shared_write(&mut nodes, 0, &entry_for(&map, a), 0, &mut sharers);
         assert!(!nodes[5].l2.contains(a), "remote L2 invalidated");
         assert!(!nodes[5].l1.contains(a), "remote L1 invalidated");
         assert!(nodes[0].l2.contains(a), "writer keeps its copy");
+    }
+
+    #[test]
+    fn second_writer_invalidates_the_first_writers_ownership_fill() {
+        // Node 0's write miss fills its L2 inside the protocol, not through
+        // the machine; the sharer map must still lead node 1's
+        // invalidation to that copy.
+        let (mut p, mut nodes, map) = setup();
+        let a = remote_addr(&map, 0);
+        let mut sharers = SharerMap::new();
+        p.retire_shared_write(&mut nodes, 0, &entry_for(&map, a), 0, &mut sharers);
+        assert!(nodes[0].l2.contains(a), "write miss allocated");
+        p.retire_shared_write(&mut nodes, 1, &entry_for(&map, a), 1000, &mut sharers);
+        assert!(!nodes[0].l2.contains(a), "first writer's copy invalidated");
+        assert_eq!(p.owner.get(&map.block_of(a)), Some(&1));
+        let r = p.read_remote(&mut nodes, 2, a, 2000);
+        assert_eq!(r.kind, ReadKind::Forwarded, "read served by node 1");
+        assert_eq!(p.counters().forwards, 1);
     }
 
     #[test]
@@ -443,7 +328,7 @@ mod tests {
         let (mut p, mut nodes, map) = setup();
         let a = remote_addr(&map, 0);
         nodes[0].l2.fill(a, false);
-        p.retire_shared_write(&mut nodes, 0, &entry_for(&map, a), 0, u64::MAX);
+        p.retire_shared_write(&mut nodes, 0, &entry_for(&map, a), 0, &mut SharerMap::new());
         // Node 2 reads: owner is node 0 -> forward.
         let r = p.read_remote(&mut nodes, 2, a, 1000);
         assert_eq!(r.kind, ReadKind::Forwarded);
@@ -458,7 +343,7 @@ mod tests {
         let (mut p, mut nodes, map) = setup();
         let a = remote_addr(&map, 0);
         nodes[0].l2.fill(a, false);
-        p.retire_shared_write(&mut nodes, 0, &entry_for(&map, a), 0, u64::MAX);
+        p.retire_shared_write(&mut nodes, 0, &entry_for(&map, a), 0, &mut SharerMap::new());
         let block = map.block_of(a);
         let home = map.home_of(a);
         p.evicted_l2_helper(&mut nodes, 0, block, true, 2000);

@@ -18,8 +18,9 @@ use memsys::{Addr, AddressMap, WriteEntry};
 use optics::OpticalParams;
 
 use super::{apply_update_to_peers, Node, ProtoCounters, Protocol, ReadKind, ReadResult};
-use crate::config::{Arch, SysConfig};
+use crate::config::SysConfig;
 use crate::latency::consts;
+use crate::sharers::SharerMap;
 use crate::topology::Fabric;
 
 /// DMON channel set shared by both DMON protocols.
@@ -94,10 +95,6 @@ impl DmonU {
 }
 
 impl Protocol for DmonU {
-    fn arch(&self) -> Arch {
-        Arch::DmonU
-    }
-
     fn read_remote(&mut self, nodes: &mut [Node], node: usize, addr: Addr, t: Time) -> ReadResult {
         let home = self.map.home_of(addr);
         ReadResult {
@@ -112,7 +109,7 @@ impl Protocol for DmonU {
         node: usize,
         entry: &WriteEntry,
         t: Time,
-        sharers: u64,
+        sharers: &mut SharerMap,
     ) -> Time {
         self.counters.updates += 1;
         let home = self.map.home_of(entry.addr);
@@ -122,7 +119,7 @@ impl Protocol for DmonU {
         let xfer = self.ch.optics.transfer_bits(bits);
         let sent = self.ch.bcast[node % 2].acquire(granted, xfer) + xfer;
         let seen = sent + self.ch.fabric.broadcast(node);
-        apply_update_to_peers(nodes, node, entry.addr, &mut self.counters, sharers);
+        apply_update_to_peers(nodes, node, entry, &mut self.counters, sharers);
         let (_applied, ack_ready) = nodes[home].mem.apply_update(seen, entry.words());
         // Ack: reservation, then a one-cycle message on the home channel.
         let granted2 = self.ch.reserve(home, ack_ready);
@@ -137,17 +134,6 @@ impl Protocol for DmonU {
         sent + self.ch.fabric.broadcast(node)
     }
 
-    fn evicted_l2(
-        &mut self,
-        _nodes: &mut [Node],
-        _node: usize,
-        _block: u64,
-        _dirty: bool,
-        _t: Time,
-    ) {
-        // Write-update: memory is always current.
-    }
-
     fn counters(&self) -> &ProtoCounters {
         &self.counters
     }
@@ -160,6 +146,7 @@ impl Protocol for DmonU {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Arch;
     use crate::latency;
 
     fn setup() -> (DmonU, Vec<Node>, AddressMap) {
@@ -200,7 +187,7 @@ mod tests {
             shared: true,
         };
         let t = 500;
-        let ack = p.retire_shared_write(&mut nodes, 0, &entry, t, u64::MAX);
+        let ack = p.retire_shared_write(&mut nodes, 0, &entry, t, &mut SharerMap::new());
         let expect = latency::total(&latency::dmon_u_update(&SysConfig::base(Arch::DmonU)));
         let lat = (ack - t) as i64;
         assert!((lat - expect as i64).abs() <= 17, "lat {lat} vs {expect}");
@@ -230,7 +217,15 @@ mod tests {
         // once per 16-cycle frame — DMON's signature arbitration cost,
         // absent in LambdaNet.
         let mut acks: Vec<Time> = (0..8)
-            .map(|n| p.retire_shared_write(&mut nodes, n, &mk(a + 64 * n as u64), 0, u64::MAX))
+            .map(|n| {
+                p.retire_shared_write(
+                    &mut nodes,
+                    n,
+                    &mk(a + 64 * n as u64),
+                    0,
+                    &mut SharerMap::new(),
+                )
+            })
             .collect();
         acks.sort_unstable();
         // All distinct completion times, spread by the TDMA frame.

@@ -18,8 +18,9 @@ use memsys::{Addr, AddressMap, WriteEntry};
 use optics::OpticalParams;
 
 use super::{apply_update_to_peers, Node, ProtoCounters, Protocol, ReadKind, ReadResult};
-use crate::config::{Arch, SysConfig};
+use crate::config::SysConfig;
 use crate::latency::consts;
+use crate::sharers::SharerMap;
 use crate::topology::Fabric;
 
 /// LambdaNet interconnect state: one channel (FIFO server) per node.
@@ -49,10 +50,6 @@ impl LambdaNet {
 }
 
 impl Protocol for LambdaNet {
-    fn arch(&self) -> Arch {
-        Arch::LambdaNet
-    }
-
     fn read_remote(&mut self, nodes: &mut [Node], node: usize, addr: Addr, t: Time) -> ReadResult {
         let home = self.map.home_of(addr);
         // Request on my own channel (no arbitration), flight, memory,
@@ -73,7 +70,7 @@ impl Protocol for LambdaNet {
         node: usize,
         entry: &WriteEntry,
         t: Time,
-        sharers: u64,
+        sharers: &mut SharerMap,
     ) -> Time {
         self.counters.updates += 1;
         let home = self.map.home_of(entry.addr);
@@ -83,7 +80,7 @@ impl Protocol for LambdaNet {
         // Broadcast on my own channel — contends only with my own reads.
         let sent = self.channels[node].acquire(ready, xfer) + xfer;
         let seen = sent + self.fabric.broadcast(node);
-        apply_update_to_peers(nodes, node, entry.addr, &mut self.counters, sharers);
+        apply_update_to_peers(nodes, node, entry, &mut self.counters, sharers);
         let (_applied, ack_ready) = nodes[home].mem.apply_update(seen, entry.words());
         // Ack on the home's own channel.
         let ack = self.channels[home].acquire(ack_ready, self.msg) + self.msg;
@@ -95,17 +92,6 @@ impl Protocol for LambdaNet {
         let ready = t + consts::CMD_TO_NI;
         let sent = self.channels[node].acquire(ready, 2) + 2;
         sent + self.fabric.broadcast(node)
-    }
-
-    fn evicted_l2(
-        &mut self,
-        _nodes: &mut [Node],
-        _node: usize,
-        _block: u64,
-        _dirty: bool,
-        _t: Time,
-    ) {
-        // Write-update: memory is always current.
     }
 
     fn counters(&self) -> &ProtoCounters {
@@ -135,6 +121,7 @@ impl Protocol for LambdaNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Arch;
     use crate::latency;
 
     fn setup() -> (LambdaNet, Vec<Node>, AddressMap) {
@@ -176,7 +163,7 @@ mod tests {
             shared: true,
         };
         let t = 123;
-        let ack = p.retire_shared_write(&mut nodes, 0, &entry, t, u64::MAX);
+        let ack = p.retire_shared_write(&mut nodes, 0, &entry, t, &mut SharerMap::new());
         let expect = latency::total(&latency::lambdanet_update(&SysConfig::base(
             Arch::LambdaNet,
         )));
@@ -202,7 +189,7 @@ mod tests {
                 mask: 0xFF,
                 shared: true,
             };
-            acks.push(p.retire_shared_write(&mut nodes, n, &entry, 0, u64::MAX));
+            acks.push(p.retire_shared_write(&mut nodes, n, &entry, 0, &mut SharerMap::new()));
         }
         // The first few acks come back almost immediately (no channel
         // contention); only memory hysteresis delays the tail.
@@ -222,7 +209,7 @@ mod tests {
             mask: 0xFFFF,
             shared: true,
         };
-        p.retire_shared_write(&mut nodes, 0, &entry, 0, u64::MAX);
+        p.retire_shared_write(&mut nodes, 0, &entry, 0, &mut SharerMap::new());
         let r = p.read_remote(&mut nodes, 0, a + 64, 0);
         let expect_free =
             latency::total(&latency::lambdanet_miss(&SysConfig::base(Arch::LambdaNet))) - 5;

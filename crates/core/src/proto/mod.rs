@@ -19,8 +19,9 @@ pub use dmon_u::DmonU;
 pub use lambdanet::LambdaNet;
 pub use netcache::NetCacheProto;
 
-use crate::config::{Arch, SysConfig};
+use crate::config::SysConfig;
 use crate::ring::RingStats;
+use crate::sharers::{peers, SharerMap};
 use desim::time::Time;
 use memsys::{Addr, Cache, CoalescingWriteBuffer, MemoryModule, WriteEntry};
 
@@ -105,9 +106,6 @@ pub struct ProtoCounters {
 /// update or invalidation at the writer's retirement), and consults its
 /// own state only on misses and retirements.
 pub trait Protocol {
-    /// Architecture this protocol implements.
-    fn arch(&self) -> Arch;
-
     /// A read of shared block `addr` from `node` that missed the L2 and is
     /// homed remotely. `t` is the time the miss leaves the L2 tag check.
     /// The result's `done` includes depositing the block into the L2.
@@ -117,17 +115,16 @@ pub trait Protocol {
     /// `t`. Applies all coherence side effects to the other nodes and
     /// returns the time the home's acknowledgement reaches `node` (the
     /// next update may be issued then).
-    /// `sharers` is an exact-negative hint: the set of nodes (bit per
-    /// node) that may hold the entry's block in a private cache — see
-    /// [`crate::sharers::SharerMap`]. Passing `u64::MAX` (every node a
-    /// candidate) is always correct.
+    /// `sharers` names, per block, every node that ever filled it (see
+    /// [`SharerMap`]): the coherence walk visits only those peers, and a
+    /// protocol that fills a cache itself notes the fill there.
     fn retire_shared_write(
         &mut self,
         nodes: &mut [Node],
         node: usize,
         entry: &WriteEntry,
         t: Time,
-        sharers: u64,
+        sharers: &mut SharerMap,
     ) -> Time;
 
     /// Broadcasts a synchronization message (lock or barrier transaction)
@@ -135,9 +132,17 @@ pub trait Protocol {
     fn sync_broadcast(&mut self, node: usize, t: Time) -> Time;
 
     /// Hook: `node`'s L2 evicted `block` (`dirty` per the L2 line) at `t`.
-    /// Update protocols ignore this (memory is always current); DMON-I
-    /// writes the block back.
-    fn evicted_l2(&mut self, nodes: &mut [Node], node: usize, block: u64, dirty: bool, t: Time);
+    /// By default evictions are silent: under the update protocols memory
+    /// is always current. DMON-I writes a dirty block back.
+    fn evicted_l2(
+        &mut self,
+        _nodes: &mut [Node],
+        _node: usize,
+        _block: u64,
+        _dirty: bool,
+        _t: Time,
+    ) {
+    }
 
     /// Ring shared-cache statistics, if this architecture has one.
     /// Returned by value: fabrics with several cache rings aggregate
@@ -163,31 +168,23 @@ pub trait Protocol {
     }
 }
 
-/// Applies an update's side effects at every node other than the writer
-/// (update protocols, §4.1): the L2 copy is refreshed in place (counted
-/// only: a timing-only cache holds no data) and the L1 copy invalidated.
+/// Applies an update's side effects at every node `sharers` names for the
+/// entry's block other than the writer (update protocols, §4.1): the L2
+/// copy is refreshed in place (counted only: a timing-only cache holds no
+/// data) and the L1 copy invalidated.
 pub(crate) fn apply_update_to_peers(
     nodes: &mut [Node],
     writer: usize,
-    addr: Addr,
+    entry: &WriteEntry,
     counters: &mut ProtoCounters,
-    sharers: u64,
+    sharers: &SharerMap,
 ) {
-    // Walk only plausible sharers (exact-negative filter: a clear bit
-    // proves the peer holds nothing, so skipping it changes no state and
-    // no counter).
-    let mut m = sharers & !(1u64 << writer);
-    while m != 0 {
-        let i = m.trailing_zeros() as usize;
-        m &= m - 1;
-        if i >= nodes.len() {
-            break;
-        }
+    for i in peers(sharers.sharers(entry.block), writer) {
         let n = &mut nodes[i];
-        if n.l2.contains(addr) {
+        if n.l2.contains(entry.addr) {
             counters.remote_l2_refreshes += 1;
         }
-        if n.l1.invalidate(addr).is_some() {
+        if n.l1.invalidate(entry.addr).is_some() {
             counters.remote_l1_invalidates += 1;
         }
     }

@@ -23,9 +23,10 @@ use memsys::{Addr, AddressMap, WriteEntry};
 use optics::OpticalParams;
 
 use super::{apply_update_to_peers, Node, ProtoCounters, Protocol, ReadKind, ReadResult};
-use crate::config::{Arch, SysConfig};
+use crate::config::SysConfig;
 use crate::latency::consts;
 use crate::ring::{RingCache, RingLookup, RingStats};
+use crate::sharers::SharerMap;
 use crate::topology::Fabric;
 
 /// The NetCache interconnect + protocol state.
@@ -97,10 +98,6 @@ impl NetCacheProto {
 }
 
 impl Protocol for NetCacheProto {
-    fn arch(&self) -> Arch {
-        Arch::NetCache
-    }
-
     fn read_remote(&mut self, nodes: &mut [Node], node: usize, addr: Addr, t: Time) -> ReadResult {
         let block = self.map.block_of(addr);
         let home = self.map.home_of(addr);
@@ -176,7 +173,7 @@ impl Protocol for NetCacheProto {
         node: usize,
         entry: &WriteEntry,
         t: Time,
-        sharers: u64,
+        sharers: &mut SharerMap,
     ) -> Time {
         self.counters.updates += 1;
         let home = self.map.home_of(entry.addr);
@@ -189,7 +186,7 @@ impl Protocol for NetCacheProto {
         let sent = self.coherence[ch].acquire(slot_owner, ready, xfer) + xfer;
         let seen = sent + self.fabric.broadcast(node);
         // All sharers refresh L2 copies / invalidate L1 copies.
-        apply_update_to_peers(nodes, node, entry.addr, &mut self.counters, sharers);
+        apply_update_to_peers(nodes, node, entry, &mut self.counters, sharers);
         // Home: memory FIFO queue (hysteresis ack) + circulating copy
         // (on the home cluster's ring).
         let (_applied, ack_ready) = nodes[home].mem.apply_update(seen, entry.words());
@@ -208,17 +205,6 @@ impl Protocol for NetCacheProto {
         let ready = t + consts::CMD_TO_NI;
         let sent = self.coherence[ch].acquire(slot_owner, ready, 2) + 2;
         sent + self.fabric.broadcast(node)
-    }
-
-    fn evicted_l2(
-        &mut self,
-        _nodes: &mut [Node],
-        _node: usize,
-        _block: u64,
-        _dirty: bool,
-        _t: Time,
-    ) {
-        // Update protocol: memory is always current; evictions are silent.
     }
 
     fn ring_stats(&self) -> Option<RingStats> {
@@ -267,7 +253,7 @@ impl Protocol for NetCacheProto {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SysConfig;
+    use crate::config::Arch;
     use crate::latency;
 
     fn setup() -> (NetCacheProto, Vec<Node>, AddressMap) {
@@ -348,7 +334,7 @@ mod tests {
             shared: true,
         };
         let t = 500;
-        let ack = p.retire_shared_write(&mut nodes, 0, &entry, t, u64::MAX);
+        let ack = p.retire_shared_write(&mut nodes, 0, &entry, t, &mut SharerMap::new());
         let expect = latency::total(&latency::netcache_update(&SysConfig::base(Arch::NetCache)));
         let lat = ack - t;
         // TDMA waits are 0..16 each instead of the 8 average.
@@ -365,13 +351,15 @@ mod tests {
         let a = remote_addr(&map, 0);
         nodes[3].l2.fill(a, false);
         nodes[3].l1.fill(a, false);
+        let mut sharers = SharerMap::new();
+        sharers.note(3, map.block_of(a));
         let entry = WriteEntry {
             block: map.block_of(a),
             addr: a,
             mask: 1,
             shared: true,
         };
-        p.retire_shared_write(&mut nodes, 0, &entry, 0, u64::MAX);
+        p.retire_shared_write(&mut nodes, 0, &entry, 0, &mut sharers);
         assert!(nodes[3].l2.contains(a), "L2 refreshed in place");
         assert!(!nodes[3].l1.contains(a), "L1 invalidated");
         assert_eq!(p.counters().remote_l2_refreshes, 1);
@@ -390,7 +378,7 @@ mod tests {
             mask: 1,
             shared: true,
         };
-        let ack = p.retire_shared_write(&mut nodes, 1, &entry, t, u64::MAX);
+        let ack = p.retire_shared_write(&mut nodes, 1, &entry, t, &mut SharerMap::new());
         // Read right after the update: must wait out ~2 roundtrips.
         let r2 = p.read_remote(&mut nodes, 2, a, ack);
         assert_eq!(r2.kind, ReadKind::SharedHit);

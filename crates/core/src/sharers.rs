@@ -1,122 +1,99 @@
-//! Exact-negative sharer tracking for update broadcasts.
+//! Exact-negative sharer tracking for coherence walks.
 //!
-//! Retiring one shared write under an update protocol probes every peer's
-//! L1 and L2 (`apply_update_to_peers`): ~2·(N−1) random tag-array touches
-//! per retirement, almost all of which miss — most blocks live in one or
-//! two caches. [`SharerMap`] records, per coherence block, the set of
-//! nodes that have **ever filled** it, so the broadcast walks only
-//! plausible sharers.
+//! Retiring one shared write probes every peer's L1 and L2: an update
+//! protocol refreshes or invalidates their copies
+//! (`apply_update_to_peers`), and DMON-I invalidates them. That is
+//! ~2·(N−1) random tag-array touches per retirement, almost all of which
+//! miss — most blocks live in one or two caches. [`SharerMap`] records,
+//! per coherence block, the set of nodes that have **ever filled** it, and
+//! the machine hands it to [`Protocol::retire_shared_write`], so all four
+//! protocols walk only the peers it names.
 //!
 //! # Why skipping is exact
 //!
 //! A node's caches can hold a block only after a fill: an update
-//! refreshes in place and never allocates, and every peer-visible fill in
-//! the machine routes through one chokepoint that notes the bit here.
-//! Bits are never cleared — an eviction leaves a stale bit, which is a
-//! harmless extra probe (false positive), never a missed one. Hence: bit
-//! clear ⇒ the peer's `contains`/`invalidate` would have returned
-//! "absent" ⇒ eliding the probe changes no state and no counter, and
-//! simulation results stay bit-for-bit identical.
+//! refreshes in place and never allocates. Every L2 fill notes its bit
+//! here — the machine's `fill_caches` for misses, and DMON-I for its
+//! write-ownership fill — and an L1-only fill copies a block the node's
+//! L2 already holds, so its bit is already set. Bits are never cleared:
+//! an eviction leaves a stale bit, which is a harmless extra probe (false
+//! positive), never a missed one. Hence: bit clear ⇒ the peer's
+//! `contains`/`invalidate` calls would all find nothing ⇒ eliding them
+//! changes no state and no counter (`remote_l1_invalidates` counts only
+//! lines that were present), and simulation results stay bit-for-bit
+//! identical.
 //!
-//! DMON-I is the one protocol that fills a cache outside the machine's
-//! chokepoint (its own L2, on a write-ownership fetch), so it ignores the
-//! mask and keeps its full walk.
+//! [`Protocol::retire_shared_write`]: crate::proto::Protocol::retire_shared_write
 
-/// Map from coherence block to the set of nodes that ever filled it.
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A hasher for block numbers: one multiply per key.
 ///
-/// Open-addressed with power-of-two capacity and linear probing; keys are
-/// block addresses (block != `u64::MAX`, which marks an empty slot).
-pub struct SharerMap {
-    keys: Vec<u64>,
-    masks: Vec<u64>,
-    len: usize,
-}
+/// std's `HashMap` picks a bucket from the hash's *low* bits, where a
+/// Fibonacci product is weakest (strided block numbers would cluster), so
+/// the product's well-mixed high half is rotated down. The default SipHash
+/// would cost far more on this per-event path.
+#[derive(Default)]
+pub struct BlockHash(u64);
 
-const EMPTY: u64 = u64::MAX;
+impl Hasher for BlockHash {
+    fn finish(&self) -> u64 {
+        self.0
+    }
 
-impl SharerMap {
-    /// An empty map (allocates lazily on first insert).
-    pub fn new() -> Self {
-        Self {
-            keys: Vec::new(),
-            masks: Vec::new(),
-            len: 0,
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
         }
     }
 
     #[inline]
-    fn slot_of(&self, block: u64) -> usize {
-        // Fibonacci hashing: multiply spreads the (often contiguous)
-        // block numbers, the mask folds into the table.
-        let h = block.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (h >> 32) as usize & (self.keys.len() - 1)
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0 ^ x)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(32);
+    }
+}
+
+/// A std `HashMap` keyed by block number, hashed by [`BlockHash`].
+pub type BlockMap<V> = HashMap<u64, V, BuildHasherDefault<BlockHash>>;
+
+/// Map from coherence block to the set of nodes that ever filled it.
+#[derive(Default)]
+pub struct SharerMap(BlockMap<u64>);
+
+impl SharerMap {
+    /// An empty map.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Records that `node` filled `block`.
     #[inline]
     pub fn note(&mut self, node: usize, block: u64) {
-        debug_assert_ne!(block, EMPTY);
-        if self.len * 4 >= self.keys.len() * 3 {
-            self.grow();
-        }
-        let mut i = self.slot_of(block);
-        loop {
-            if self.keys[i] == block {
-                self.masks[i] |= 1 << node;
-                return;
-            }
-            if self.keys[i] == EMPTY {
-                self.keys[i] = block;
-                self.masks[i] = 1 << node;
-                self.len += 1;
-                return;
-            }
-            i = (i + 1) & (self.keys.len() - 1);
-        }
+        *self.0.entry(block).or_insert(0) |= 1 << node;
     }
 
     /// The set of nodes that may hold `block` (bit per node). Zero means
     /// certainly nowhere cached.
     #[inline]
     pub fn sharers(&self, block: u64) -> u64 {
-        if self.len == 0 {
-            return 0;
-        }
-        let mut i = self.slot_of(block);
-        loop {
-            if self.keys[i] == block {
-                return self.masks[i];
-            }
-            if self.keys[i] == EMPTY {
-                return 0;
-            }
-            i = (i + 1) & (self.keys.len() - 1);
-        }
-    }
-
-    fn grow(&mut self) {
-        let cap = (self.keys.len() * 2).max(1024);
-        let old_keys = std::mem::replace(&mut self.keys, vec![EMPTY; cap]);
-        let old_masks = std::mem::take(&mut self.masks);
-        self.masks = vec![0; cap];
-        for (k, m) in old_keys.into_iter().zip(old_masks) {
-            if k == EMPTY {
-                continue;
-            }
-            let mut i = self.slot_of(k);
-            while self.keys[i] != EMPTY {
-                i = (i + 1) & (self.keys.len() - 1);
-            }
-            self.keys[i] = k;
-            self.masks[i] = m;
-        }
+        self.0.get(&block).copied().unwrap_or(0)
     }
 }
 
-impl Default for SharerMap {
-    fn default() -> Self {
-        Self::new()
-    }
+/// The nodes of `mask` other than `writer`, in ascending order: the peers
+/// a coherence walk visits.
+pub(crate) fn peers(mask: u64, writer: usize) -> impl Iterator<Item = usize> {
+    let mut m = mask & !(1u64 << writer);
+    std::iter::from_fn(move || {
+        (m != 0).then(|| {
+            let i = m.trailing_zeros() as usize;
+            m &= m - 1;
+            i
+        })
+    })
 }
 
 #[cfg(test)]
@@ -139,5 +116,15 @@ mod tests {
             assert_eq!(m.sharers(b * 64 + 1), 1 << (b % 16));
         }
         assert_eq!(m.sharers(u64::MAX - 1), 0);
+    }
+
+    #[test]
+    fn peers_ascend_skip_the_writer_and_reach_bit_63() {
+        let mask = (1 << 0) | (1 << 5) | (1 << 9) | (1 << 63);
+        assert_eq!(peers(mask, 5).collect::<Vec<_>>(), [0, 9, 63]);
+        assert_eq!(peers(mask, 63).collect::<Vec<_>>(), [0, 5, 9]);
+        assert_eq!(peers(mask, 2).collect::<Vec<_>>(), [0, 5, 9, 63]);
+        assert_eq!(peers(1 << 4, 4).count(), 0);
+        assert_eq!(peers(0, 0).count(), 0);
     }
 }

@@ -62,7 +62,7 @@ use netcache_apps::Workload;
 
 use crate::config::{Arch, SysConfig};
 use crate::json::{self, Value};
-use crate::metrics::{NodeStats, RunReport};
+use crate::metrics::{Fnv, NodeStats, RunReport};
 use crate::proto::ProtoCounters;
 use crate::ring::RingStats;
 use crate::sweep::SweepPoint;
@@ -302,29 +302,6 @@ pub fn cell_key(cfg: &SysConfig, wl: &Workload) -> u64 {
 /// [`cell_key`] for a sweep cell.
 pub fn point_key(point: &SweepPoint) -> u64 {
     cell_key(&point.cfg, &point.workload())
-}
-
-/// FNV-1a accumulator (the same constants as [`RunReport::digest`]).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn put(&mut self, x: u64) {
-        for byte in x.to_le_bytes() {
-            self.0 ^= byte as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    fn put_str(&mut self, s: &str) {
-        for b in s.bytes() {
-            self.put(b as u64);
-        }
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -806,6 +806,14 @@ mod tests {
     }
 
     #[test]
+    fn an_unvalidated_ring_too_large_for_u64_bytes_labels_its_size() {
+        // 2^56 channels of 4 x 64 B frames: 2^64 bytes, one past `u64`.
+        let cfg = SysConfig::base(Arch::NetCache).with_ring_kb(1 << 54);
+        let point = SweepPoint::new(cfg, AppId::Fft, 0.1);
+        assert_eq!(point.label, "netcache/fft/p16/s0.1/ring18014398509481984k");
+    }
+
+    #[test]
     fn each_moved_parameter_gets_a_suffix_and_the_seed_none() {
         let nc = SysConfig::base(Arch::NetCache);
         let label = |cfg| SweepPoint::new(cfg, AppId::Sor, 0.1).label;

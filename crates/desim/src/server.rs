@@ -108,13 +108,6 @@ pub struct SlottedServer {
     horizon: Time,
     /// Per-client: earliest time the client may transmit again.
     client_next: Vec<Time>,
-    /// Per-client: whether `client_next` is known to sit on a slot
-    /// boundary owned by that client. When it does, a saturating client
-    /// (arrival ≤ `client_next`) can be granted `client_next` directly —
-    /// a burst of back-to-back messages pays the frame arithmetic (two
-    /// integer divisions in [`next_turn`](Self::next_turn)) only once,
-    /// on its first message.
-    turn_aligned: Vec<bool>,
     busy_total: Duration,
     served: u64,
     wait_total: Duration,
@@ -130,7 +123,6 @@ impl SlottedServer {
             busy_until: 0,
             horizon: 0,
             client_next: vec![0; clients],
-            turn_aligned: vec![false; clients],
             busy_total: 0,
             served: 0,
             wait_total: 0,
@@ -176,39 +168,19 @@ impl SlottedServer {
     /// boundary owned by `client`).
     pub fn acquire(&mut self, client: usize, arrival: Time, service: Duration) -> Time {
         debug_assert!((client as u64) < self.clients);
-        let mut start;
-        if self.turn_aligned[client]
-            && service <= self.slot
-            && arrival <= self.client_next[client]
-            && self.client_next[client] >= self.busy_until
-        {
-            // Saturating single-slot burst: the client's next owned slot
-            // boundary is already known and nothing multi-slot is in the
-            // way, so grant it without re-deriving the frame phase. This
-            // is exactly what `earliest_start` would return (it reduces
-            // to `next_turn(client, client_next)` with `client_next`
-            // turn-aligned), asserted by the differential test below.
-            start = self.client_next[client];
-        } else {
-            start = self.earliest_start(client, arrival);
-            if service > self.slot {
-                // A long message occupies consecutive slots, so it may not
-                // start before every already-granted transmission has ended
-                // (a slot inside its span may already be promised), and it
-                // blocks every later grant until it ends.
-                if start < self.horizon {
-                    start = self.next_turn(client, self.horizon);
-                }
-                self.busy_until = self.busy_until.max(start + service);
+        let mut start = self.earliest_start(client, arrival);
+        if service > self.slot {
+            // A long message occupies consecutive slots, so it may not
+            // start before every already-granted transmission has ended (a
+            // slot inside its span may already be promised), and it blocks
+            // every later grant until it ends.
+            if start < self.horizon {
+                start = self.next_turn(client, self.horizon);
             }
+            self.busy_until = self.busy_until.max(start + service);
         }
-        let frame = self.frame();
         self.horizon = self.horizon.max(start + service);
-        self.client_next[client] = start + frame.max(service);
-        // `start` is always a slot boundary owned by `client`, so adding a
-        // whole number of frames lands on another owned boundary; a
-        // longer-than-frame reservation does not.
-        self.turn_aligned[client] = service <= frame;
+        self.client_next[client] = start + self.frame().max(service);
         self.busy_total += service;
         self.served += 1;
         self.wait_total += start - arrival;
@@ -343,88 +315,6 @@ mod tests {
         }
         let mean = total as f64 / n as f64;
         assert!((mean - 7.5).abs() < 0.5, "mean {mean}");
-    }
-
-    /// Reference TDMA grant: the pre-fast-path `acquire`, deriving every
-    /// start from `earliest_start` (frame arithmetic on every call).
-    /// The burst fast path must be observationally identical to it.
-    #[derive(Clone)]
-    struct RefSlotted {
-        inner: SlottedServer,
-    }
-
-    impl RefSlotted {
-        fn acquire(&mut self, client: usize, arrival: Time, service: Duration) -> Time {
-            let s = &mut self.inner;
-            let mut start = s.earliest_start(client, arrival);
-            if service > s.slot {
-                if start < s.horizon {
-                    start = s.next_turn(client, s.horizon);
-                }
-                s.busy_until = s.busy_until.max(start + service);
-            }
-            s.horizon = s.horizon.max(start + service);
-            s.client_next[client] = start + s.frame().max(service);
-            s.busy_total += service;
-            s.served += 1;
-            s.wait_total += start - arrival;
-            start
-        }
-    }
-
-    #[test]
-    fn burst_fast_path_matches_reference_arbitration() {
-        // Random nondecreasing arrival sequences over a mix of short
-        // (single-slot) and long (multi-slot) messages, including dense
-        // bursts where one client saturates its frame slots — the case
-        // the fast path exists for.
-        let mut rng = crate::rng::SplitMix64::new(0x51077ed);
-        for clients in [1usize, 2, 4, 8] {
-            for slot in [1u64, 2, 7] {
-                let mut fast = SlottedServer::new(clients, slot);
-                let mut reference = RefSlotted {
-                    inner: SlottedServer::new(clients, slot),
-                };
-                let mut now = 0u64;
-                let mut burst_client = 0usize;
-                for i in 0..4000 {
-                    // Alternate phases: a dense burst from one client,
-                    // then scattered traffic from everyone.
-                    let in_burst = (i / 100) % 2 == 0;
-                    let client = if in_burst {
-                        burst_client
-                    } else {
-                        (rng.next_u64() as usize) % clients
-                    };
-                    if i % 200 == 199 {
-                        burst_client = (burst_client + 1) % clients;
-                    }
-                    now += if in_burst {
-                        rng.next_u64() % 2
-                    } else {
-                        rng.next_u64() % (3 * slot * clients as u64 + 1)
-                    };
-                    let service = if rng.next_u64().is_multiple_of(5) {
-                        slot * (2 + rng.next_u64() % 3)
-                    } else {
-                        1 + rng.next_u64() % slot
-                    };
-                    let a = fast.acquire(client, now, service);
-                    let b = reference.acquire(client, now, service);
-                    assert_eq!(
-                        a, b,
-                        "clients={clients} slot={slot} i={i}: fast path granted {a}, reference {b}"
-                    );
-                }
-                let (f, r) = (&fast, &reference.inner);
-                assert_eq!(f.busy_until, r.busy_until);
-                assert_eq!(f.horizon, r.horizon);
-                assert_eq!(f.client_next, r.client_next);
-                assert_eq!(f.busy_total, r.busy_total);
-                assert_eq!(f.served, r.served);
-                assert_eq!(f.wait_total, r.wait_total);
-            }
-        }
     }
 
     #[test]

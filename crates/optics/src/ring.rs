@@ -48,32 +48,6 @@ pub struct RingGeometry {
 }
 
 impl RingGeometry {
-    /// The paper's base ring: 128 channels × 4 frames × 64 B = 32 KB,
-    /// 40-cycle roundtrip, 16 nodes.
-    pub fn base(nodes: usize) -> Self {
-        Self {
-            channels: 128,
-            frames_per_channel: 4,
-            roundtrip: 40,
-            nodes,
-            read_overhead: 5,
-        }
-    }
-
-    /// Base geometry with a different channel count (shared-cache size
-    /// sweep of Fig. 8: 64 → 16 KB, 128 → 32 KB, 256 → 64 KB).
-    pub fn with_channels(nodes: usize, channels: usize) -> Self {
-        Self {
-            channels,
-            ..Self::base(nodes)
-        }
-    }
-
-    /// Total data capacity in bytes for `block_bytes` lines.
-    pub fn capacity_bytes(&self, block_bytes: u64) -> u64 {
-        self.channels as u64 * self.frames_per_channel as u64 * block_bytes
-    }
-
     /// Cycles between consecutive frame boundaries on a channel.
     #[inline]
     pub fn frame_spacing(&self) -> Duration {
@@ -154,21 +128,16 @@ impl RingGeometry {
 mod tests {
     use super::*;
 
+    /// The paper's base ring: 128 channels × 4 frames × 64 B = 32 KB,
+    /// 40-cycle roundtrip, 16 nodes.
     fn base() -> RingGeometry {
-        RingGeometry::base(16)
-    }
-
-    #[test]
-    fn base_capacity_is_32kb() {
-        assert_eq!(base().capacity_bytes(64), 32 * 1024);
-        assert_eq!(
-            RingGeometry::with_channels(16, 64).capacity_bytes(64),
-            16 * 1024
-        );
-        assert_eq!(
-            RingGeometry::with_channels(16, 256).capacity_bytes(64),
-            64 * 1024
-        );
+        RingGeometry {
+            channels: 128,
+            frames_per_channel: 4,
+            roundtrip: 40,
+            nodes: 16,
+            read_overhead: 5,
+        }
     }
 
     #[test]
@@ -293,7 +262,8 @@ mod tests {
             for fpc in [1usize, 2, 4, 8] {
                 let g = RingGeometry {
                     frames_per_channel: fpc,
-                    ..RingGeometry::base(nodes)
+                    nodes,
+                    ..base()
                 };
                 for node in 0..nodes {
                     for now in 0..(2 * g.roundtrip + 3) {
@@ -331,7 +301,6 @@ mod tests {
                 ..base()
             };
             assert_eq!(g.frame_spacing(), spacing);
-            assert_eq!(g.capacity_bytes(64), 32 * 1024);
         }
     }
 }
