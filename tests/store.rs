@@ -129,6 +129,31 @@ fn corrupted_cell_is_recomputed_and_healed_in_place() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn a_deeply_nested_record_is_invalidated_and_healed() {
+    let dir = scratch("deep");
+    let sweep = small_sweep();
+    let store = Store::open(&dir).unwrap();
+    let cold = sweep.run_stored(2, &NoopObserver, Some(&store));
+
+    // A million open brackets: a recursive parser runs out of stack on
+    // these long before it finds the document unterminated.
+    let victim = &sweep.points()[2];
+    fs::write(store.record_path(point_key(victim)), vec![b'['; 1_000_000]).unwrap();
+
+    let warm_store = Store::open(&dir).unwrap();
+    let warm = sweep.run_stored(2, &NoopObserver, Some(&warm_store));
+    assert_eq!(warm.computed_cells(), 1);
+    assert_eq!(warm_store.stats().invalidated, 1);
+    for (c, w) in cold.runs.iter().zip(&warm.runs) {
+        assert_eq!(c.report, w.report, "healed grid differs for {}", c.label);
+    }
+    let third_store = Store::open(&dir).unwrap();
+    let third = sweep.run_stored(2, &NoopObserver, Some(&third_store));
+    assert_eq!(third.cached_cells(), sweep.points().len());
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// The reports of `points`, run as one sweep through `store`.
 fn stored_reports(points: Vec<SweepPoint>, store: &Store) -> Vec<netcache::RunReport> {
     let result = Sweep::from_points(points).run_stored(2, &NoopObserver, Some(store));
